@@ -65,10 +65,12 @@ class IsingInstance:
             raise DimensionError(f"J must be {self.n}x{self.n}, got {j.shape}")
         if h.shape != (self.n,):
             raise DimensionError(f"h must have length {self.n}, got {h.shape}")
+        if not (np.all(np.isfinite(j)) and np.all(np.isfinite(h))):
+            raise ConfigError("J and h must be finite")
         if np.any(np.diag(j) != 0.0):
-            raise ValueError("J must have a zero diagonal")
+            raise ConfigError("J must have a zero diagonal")
         if not np.array_equal(j, j.T):
-            raise ValueError("J must be symmetric")
+            raise ConfigError("J must be symmetric")
         j.setflags(write=False)
         h.setflags(write=False)
 
@@ -130,15 +132,18 @@ class Schedule:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "eta", eta)
         if self.t_steps < 1:
-            raise ValueError("t_steps must be >= 1")
+            raise ConfigError("t_steps must be >= 1")
         if beta.shape != (self.t_steps,) or eta.shape != (self.t_steps,):
             raise DimensionError("beta/eta tables must have length t_steps")
+        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(eta))
+                and np.isfinite(self.xi)):
+            raise ConfigError("beta(t), eta(t) and xi must be finite")
         if np.any(eta < 0.0):
-            raise ValueError("eta(t) must be >= 0")
+            raise ConfigError("eta(t) must be >= 0")
         if self.xi < 0.0:
-            raise ValueError("xi must be >= 0")
+            raise ConfigError("xi must be >= 0")
         if self.kind is ScheduleKind.PIMI_BENCH and np.any(np.diff(beta) < 0.0):
-            raise ValueError("pimi-bench beta(t) must be non-decreasing")
+            raise ConfigError("pimi-bench beta(t) must be non-decreasing")
         beta.setflags(write=False)
         eta.setflags(write=False)
 

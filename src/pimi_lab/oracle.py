@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ConfigError, IsingInstance, SpinState
 
 _EXHAUSTIVE_MAX_N = 24
 _ENUM_BLOCK = 1 << 16
+_SA_WINDOW = 64  # upcoming proposals scored per chain in one pass
 
 
 class OracleMethod(str, Enum):
@@ -95,13 +97,26 @@ def sim_anneal_oracle(inst: IsingInstance, restarts: int = 10,
     """Metropolis single-flip annealing with geometric cooling; best over
     all restarts. Restart chains run side by side (vectorized); each chain
     proposes one uniformly random spin flip per move.
+
+    Each pass scores a window of a chain's upcoming proposals against its
+    current state and applies the first accepted one. Every chain sees the
+    same draws and arithmetic, in the same order, as one proposal per step
+    would give, so results are bit-identical to that plain loop.
     """
     if restarts < 1:
         raise ConfigError("restarts must be >= 1")
     if not (0.0 < alpha < 1.0):
         raise ConfigError("cooling factor alpha must lie in (0, 1)")
+    if not (np.isfinite(t_init) and np.isfinite(t_final)):
+        raise ConfigError("annealing temperatures must be finite")
+    if t_final <= 0.0:
+        raise ConfigError("final temperature t_final must be > 0")
+    if t_init <= t_final:
+        raise ConfigError("initial temperature t_init must exceed t_final")
     n = inst.n
     flips = default_sa_flips_per_temp(n) if flips_per_temp is None else int(flips_per_temp)
+    if flips < 1:
+        raise ConfigError("flips_per_temp must be >= 1")
     rng = np.random.default_rng(seed)
     j = inst.j
     h = inst.h
@@ -113,26 +128,44 @@ def sim_anneal_oracle(inst: IsingInstance, restarts: int = 10,
     best_states = states.copy()
 
     chain = np.arange(restarts)
+    # chain-major proposals of one stage, zero-padded so that every window
+    # of _SA_WINDOW proposals is in bounds; the padding is never applied
+    spins = np.zeros((restarts, flips + _SA_WINDOW), dtype=np.int64)
+    draws = np.zeros((restarts, flips + _SA_WINDOW))
+    spin_win = sliding_window_view(spins, _SA_WINDOW, axis=1)
+    draw_win = sliding_window_view(draws, _SA_WINDOW, axis=1)
     temp = t_init
     stages = 0
     while temp > t_final:
-        spin_choices = rng.integers(0, n, (flips, restarts))
-        accept_draws = rng.random((flips, restarts))
-        for f in range(flips):
-            i = spin_choices[f]
-            s_i = states[chain, i]
-            delta = 2.0 * s_i * fields[chain, i]
-            accept = (delta <= 0.0) | (accept_draws[f] < np.exp(-np.maximum(delta, 0.0) / temp))
-            if accept.any():
-                which = np.nonzero(accept)[0]
-                rows = i[which]
-                states[which, rows] = -s_i[which]
-                fields[which] -= 2.0 * s_i[which, None] * j[rows]
-                energies[which] += delta[which]
+        spins[:, :flips] = rng.integers(0, n, (flips, restarts)).T
+        draws[:, :flips] = rng.random((flips, restarts)).T
+        pos = np.zeros(restarts, dtype=np.intp)  # next proposal per chain
+        live = chain
+        while live.size:
+            p = pos[live]
+            i = spin_win[live, p]
+            s_i = states[live[:, None], i]
+            delta = 2.0 * s_i * fields[live[:, None], i]
+            accept = (delta <= 0.0) | (draw_win[live, p] < np.exp(-np.maximum(delta, 0.0) / temp))
+            # a rejected proposal changes nothing, so the first accepted one
+            # in the window is the chain's next move; resume right after it
+            first = accept.argmax(axis=1)
+            hit = np.nonzero(accept[chain[:live.size], first] & (first < flips - p))[0]
+            pos[live] = p + _SA_WINDOW
+            if hit.size:
+                which = live[hit]
+                at = first[hit]
+                pos[which] = p[hit] + at + 1
+                rows = i[hit, at]
+                s_acc = s_i[hit, at]
+                states[which, rows] = -s_acc
+                fields[which] -= 2.0 * s_acc[:, None] * j[rows]
+                energies[which] += delta[hit, at]
                 improved = which[energies[which] < best_e[which]]
                 if improved.size:
                     best_e[improved] = energies[improved]
                     best_states[improved] = states[improved]
+            live = live[pos[live] < flips]
         temp *= alpha
         stages += 1
 
@@ -154,8 +187,9 @@ def local_search_oracle(inst: IsingInstance, restarts: int | None = None,
                         cycles: int | None = None, seed: int = 0) -> OracleResult:
     """Breakout-style local search: best-improvement single flips; a restart
     that stagnates (no improving flip) takes a random multi-flip kick of
-    size drawn from [2, max(2, N//10)]. One cycle is one best-improvement
-    pass plus any triggered kick. Best state over all restarts wins.
+    size drawn from [2, max(2, N//10)], capped at N. One cycle is one
+    best-improvement pass plus any triggered kick. Best state over all
+    restarts wins.
     """
     n = inst.n
     default_r, default_c = default_bls_effort(n)
@@ -196,7 +230,8 @@ def local_search_oracle(inst: IsingInstance, restarts: int | None = None,
         stuck = np.nonzero(~improving)[0]
         if stuck.size:
             for r in stuck:
-                k = int(rng.integers(2, kick_hi + 1))
+                # the cap binds only at N = 1 (kick_hi <= N otherwise)
+                k = min(int(rng.integers(2, kick_hi + 1)), n)
                 flip = rng.choice(n, size=k, replace=False)
                 states[r, flip] = -states[r, flip]
                 # multi-flip kick: recompute the kicked chain exactly

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pimi_lab.core import (
+    ConfigError,
     DimensionError,
     IsingInstance,
     NotMaxCutError,
@@ -44,6 +45,18 @@ class TestInstanceInvariants:
         j = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             IsingInstance(2, j, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_couplings(self, bad):
+        # NaN is not equal to itself, so without a finiteness check first
+        # this was reported as an asymmetric J
+        j = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ConfigError, match="finite"):
+            IsingInstance(2, j, np.zeros(2))
+
+    def test_rejects_non_finite_bias(self):
+        with pytest.raises(ConfigError, match="finite"):
+            IsingInstance(2, np.zeros((2, 2)), np.array([0.0, np.nan]))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
@@ -206,6 +219,13 @@ class TestSchedule:
         beta = np.array([0.5, 0.4, 0.6])
         with pytest.raises(ValueError):
             Schedule(ScheduleKind.PIMI_BENCH, beta, np.ones(3), 0.5, 3)
+
+    @pytest.mark.parametrize("field", ["beta", "eta", "xi"])
+    def test_rejects_nan(self, field):
+        args = {"beta": np.ones(3), "eta": np.ones(3), "xi": 0.5}
+        args[field] = np.nan if field == "xi" else np.array([1.0, np.nan, 1.0])
+        with pytest.raises(ConfigError, match="finite"):
+            Schedule(ScheduleKind.CUSTOM, args["beta"], args["eta"], args["xi"], 3)
 
     def test_from_functions(self):
         sched = Schedule.from_functions(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import pytest
 
+from pimi_lab.cli import main
 from pimi_lab.core import ConfigError
 from pimi_lab.harness import (
     archive_hash,
@@ -230,6 +231,16 @@ class TestCli:
                          "--in", str(tmp_path / "none"),
                          "--out", str(tmp_path / "gs.json"))
         assert r.returncode == 2
+
+    def test_non_finite_instance_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n": 2, "j": [[0.0, math.nan], [math.nan, 0.0]],
+                                    "h": [0.0, 0.0]}))
+        code = main(["oracle", "--method", "sa", "--in", str(path),
+                     "--out", str(tmp_path / "gs.json")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "gs.json").exists()
 
     def test_quantized_solve_cli(self, tmp_path):
         inst = tmp_path / "inst"

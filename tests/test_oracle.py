@@ -17,6 +17,71 @@ def k3():
     return IsingInstance(3, -a, np.zeros(3), "k3")
 
 
+def lockstep_sim_anneal(inst, restarts=10, flips_per_temp=None, t_init=5.0,
+                        t_final=0.01, alpha=0.995, seed=0):
+    """Reference annealer: the same draws as sim_anneal_oracle, applied one
+    proposal of every chain per step."""
+    n = inst.n
+    flips = default_sa_flips_per_temp(n) if flips_per_temp is None else flips_per_temp
+    rng = np.random.default_rng(seed)
+    j, h = inst.j, inst.h
+    states = rng.integers(0, 2, (restarts, n)).astype(float) * 2.0 - 1.0
+    fields = states @ j + h
+    energies = -0.5 * np.einsum("bn,bn->b", states, states @ j) - states @ h
+    best_e = energies.copy()
+    best_states = states.copy()
+    chain = np.arange(restarts)
+    temp = t_init
+    stages = 0
+    while temp > t_final:
+        spin_choices = rng.integers(0, n, (flips, restarts))
+        accept_draws = rng.random((flips, restarts))
+        for f in range(flips):
+            i = spin_choices[f]
+            s_i = states[chain, i]
+            delta = 2.0 * s_i * fields[chain, i]
+            accept = (delta <= 0.0) | (accept_draws[f] < np.exp(-np.maximum(delta, 0.0) / temp))
+            which = np.nonzero(accept)[0]
+            rows = i[which]
+            states[which, rows] = -s_i[which]
+            fields[which] -= 2.0 * s_i[which, None] * j[rows]
+            energies[which] += delta[which]
+            improved = which[energies[which] < best_e[which]]
+            best_e[improved] = energies[improved]
+            best_states[improved] = states[improved]
+        temp *= alpha
+        stages += 1
+    k = int(np.argmin(best_e))
+    effort = {"restarts": restarts, "flips_per_temp": flips, "stages": stages,
+              "seed": seed}
+    return float(best_e[k]), best_states[k], effort
+
+
+def _integer_bias_instance():
+    inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 10, 21))
+    h = np.random.default_rng(21).integers(-3, 4, 10).astype(float)
+    return IsingInstance(10, inst.j, h, "sk10-int-h")
+
+
+def _real_instance():
+    rng = np.random.default_rng(22)
+    j = rng.standard_normal((10, 10))
+    j = (j + j.T) / 2.0
+    np.fill_diagonal(j, 0.0)
+    return IsingInstance(10, j, rng.standard_normal(10), "real10")
+
+
+REFERENCE_INSTANCES = {
+    "sk4": lambda: gen_sk1(GeneratorSpec(Family.SK_ONE, 4, 1)),
+    "sk12": lambda: gen_sk1(GeneratorSpec(Family.SK_ONE, 12, 2)),
+    "sk32": lambda: gen_sk1(GeneratorSpec(Family.SK_ONE, 32, 3)),
+    "maxcut12": lambda: gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 12, 4))[0],
+    "maxcut20": lambda: gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 20, 5))[0],
+    "int-h": _integer_bias_instance,
+    "real": _real_instance,
+}
+
+
 class TestExhaustive:
     def test_k3(self):
         res = exhaustive(k3())
@@ -82,6 +147,43 @@ class TestSimAnneal:
         res = sim_anneal_oracle(inst, restarts=2, seed=1)
         assert energy(inst, res.best_state) == res.best_energy
 
+    # 1, 63, 64, 65 straddle the 64-proposal window; None is the 10N default
+    @pytest.mark.parametrize("flips", [1, 63, 64, 65, None])
+    @pytest.mark.parametrize("restarts", [1, 10])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    def test_matches_lockstep_reference(self, name, restarts, flips):
+        inst = REFERENCE_INSTANCES[name]()
+        seed = len(name) + restarts
+        res = sim_anneal_oracle(inst, restarts=restarts, flips_per_temp=flips,
+                                alpha=0.9, seed=seed)
+        best_e, best_state, effort = lockstep_sim_anneal(
+            inst, restarts=restarts, flips_per_temp=flips, alpha=0.9, seed=seed)
+        assert res.best_energy == best_e
+        assert np.array_equal(res.best_state, best_state)
+        assert res.effort == effort
+
+    @pytest.mark.parametrize("t_final", [0.0, -0.5])
+    def test_rejects_non_positive_t_final(self, t_final):
+        with pytest.raises(ConfigError, match="t_final"):
+            sim_anneal_oracle(k3(), restarts=1, flips_per_temp=1, t_final=t_final)
+
+    @pytest.mark.parametrize("t_init", [0.01, 0.005])
+    def test_rejects_t_init_not_above_t_final(self, t_init):
+        # zero stages would return the random starting states as ground truth
+        with pytest.raises(ConfigError, match="t_init"):
+            sim_anneal_oracle(k3(), t_init=t_init, t_final=0.01)
+
+    @pytest.mark.parametrize("flips", [0, -3])
+    def test_rejects_flips_per_temp_below_one(self, flips):
+        with pytest.raises(ConfigError, match="flips_per_temp"):
+            sim_anneal_oracle(k3(), flips_per_temp=flips)
+
+    @pytest.mark.parametrize("temps", [(np.inf, 0.01), (np.nan, 0.01), (5.0, np.nan)])
+    def test_rejects_non_finite_temperature(self, temps):
+        t_init, t_final = temps
+        with pytest.raises(ConfigError, match="finite"):
+            sim_anneal_oracle(k3(), t_init=t_init, t_final=t_final)
+
 
 class TestLocalSearch:
     def test_k3_from_any_start(self):
@@ -105,6 +207,14 @@ class TestLocalSearch:
         inst, _ = gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 15, 3))
         res = local_search_oracle(inst, restarts=10, cycles=50, seed=2)
         assert energy(inst, res.best_state) == res.best_energy
+
+    @pytest.mark.parametrize("bias", [-2.0, 1.5])
+    def test_single_spin_matches_exhaustive(self, bias):
+        inst = IsingInstance(1, np.zeros((1, 1)), np.array([bias]))
+        res = local_search_oracle(inst, restarts=4, cycles=10, seed=3)
+        exact = exhaustive(inst)
+        assert res.best_energy == exact.best_energy
+        assert np.array_equal(res.best_state, exact.best_state)
 
     def test_heuristics_never_beat_exhaustive(self):
         for seed in range(5):
