@@ -16,12 +16,10 @@ from .core import (
 from .quantize import FixedPointFormat, TanhLut, lut_tanh, quantize
 from .solvers import (
     NoiseDist,
-    NoiseSource,
     Quantization,
     SolverKind,
     make_schedule,
     run_batch,
-    run_trial,
 )
 
 __version__ = "0.1.0"
@@ -32,7 +30,6 @@ __all__ = [
     "FixedPointFormat",
     "IsingInstance",
     "NoiseDist",
-    "NoiseSource",
     "NotMaxCutError",
     "Quantization",
     "Schedule",
@@ -48,6 +45,5 @@ __all__ = [
     "make_schedule",
     "quantize",
     "run_batch",
-    "run_trial",
     "__version__",
 ]

@@ -61,7 +61,7 @@ def _add_oracle(sub):
 
 def _add_solve(sub):
     p = sub.add_parser("solve", help="run solver trials over instances")
-    p.add_argument("--kind", choices=["pimi", "conv-seq", "conv-par"], required=True)
+    p.add_argument("--kind", choices=[k.value for k in SolverKind], required=True)
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--schedule", required=True,
                    help="family name (maxcut|sk1|mimo) or a JSON file "
@@ -98,7 +98,7 @@ def _add_mimo_ber(sub):
     p.add_argument("--ebn0", required=True, help="start:stop:step in dB, or comma list")
     p.add_argument("--scenarios", type=int, required=True)
     p.add_argument("--detector", action="append", required=True,
-                   choices=["mmse", "pimi", "conv-seq", "conv-par"],
+                   choices=["mmse"] + [k.value for k in SolverKind],
                    help="repeat for several detectors")
     p.add_argument("--trials", type=int, default=32)
     p.add_argument("--steps", type=int, default=None)
@@ -159,13 +159,6 @@ def _grid(spec: str) -> list[int]:
     return [int(v) for v in spec.split(",")]
 
 
-_SOLVER_BY_FLAG = {
-    "pimi": SolverKind.PIMI,
-    "conv-seq": SolverKind.CONV_SEQUENTIAL,
-    "conv-par": SolverKind.CONV_PARALLEL,
-}
-
-
 def _cmd_generate(args) -> int:
     family = Family.MAXCUT_ER if args.family == "maxcut" else Family.SK_ONE
     stage_generate(family, [args.n], args.count, args.seed, Path(args.out),
@@ -184,7 +177,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_solve(args) -> int:
     files = _instance_files(args.in_dir)
-    kind = _SOLVER_BY_FLAG[args.kind]
+    kind = SolverKind(args.kind)
     quant = Quantization.parse(args.quantized, args.tanh_levels) if args.quantized else None
     overrides = None
     family = args.schedule

@@ -16,12 +16,12 @@ import numpy as np
 SpinState = np.ndarray  # length-N float64 vector, entries exactly -1.0 or +1.0
 
 
-class DimensionError(ValueError):
-    """Raised when instance / state / schedule dimensions do not match."""
-
-
 class ConfigError(ValueError):
     """Raised on invalid or incomplete configuration values."""
+
+
+class DimensionError(ConfigError):
+    """Raised when instance / state / schedule dimensions do not match."""
 
 
 class NotMaxCutError(ValueError):

@@ -358,19 +358,13 @@ def stage_mimo_ber(nt: int, nr: int, qam: int, ebn0_values, n_scenarios: int,
 # Experiment families
 
 
-_SOLVER_ALIASES = {
-    "pimi": SolverKind.PIMI,
-    "conv-seq": SolverKind.CONV_SEQUENTIAL,
-    "conv-par": SolverKind.CONV_PARALLEL,
-}
-
-
-def _parse_solvers(names) -> list[SolverKind]:
+def _parse_solvers(names, what: str = "solver kind") -> list[SolverKind]:
     kinds = []
     for name in names:
-        if name not in _SOLVER_ALIASES:
-            raise ConfigError(f"unknown solver kind {name!r}")
-        kinds.append(_SOLVER_ALIASES[name])
+        try:
+            kinds.append(SolverKind(name))
+        except ValueError:
+            raise ConfigError(f"unknown {what} {name!r}") from None
     return kinds
 
 
@@ -445,10 +439,10 @@ def _run_mimo_ber(manifest: ExperimentManifest, workers: int) -> int:
     if "quantized" in opts:
         quant = Quantization.parse(opts["quantized"],
                                    _opt_int(opts, "tanh_levels", 4))
+    _parse_solvers([name for name in detector_names if name != "mmse"],
+                   "detector")
     configs = {}
     for name in detector_names:
-        if name != "mmse" and name not in _SOLVER_ALIASES:
-            raise ConfigError(f"unknown detector {name!r}")
         configs[name] = DetectorConfig(
             kind=name, trials=trials,
             steps=None if steps is None else int(steps),

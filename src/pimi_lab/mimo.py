@@ -24,7 +24,6 @@ from .core import ConfigError, IsingInstance
 from .solvers import (
     Quantization,
     SolverKind,
-    default_noise_distribution,
     run_batch,
     schedule_for_solver,
 )
@@ -392,7 +391,6 @@ def detect(scenario: MimoScenario, config: DetectorConfig,
         raise ConfigError(f"unknown init mode {config.init!r}")
     records = run_batch([inst], kind, sched, config.trials, base_seed,
                         workers=1, quantization=config.quantization,
-                        distribution=default_noise_distribution(kind),
                         init_state=init_state)[0]
     energies = np.array([problem.energy(rec.final_spins) for rec in records])
     best = int(np.argmin(energies))

@@ -1,5 +1,5 @@
 """The three spin-update dynamics (sequential, fully parallel, parallel with
-inertia), the trial runner, and the deterministic batch runner.
+inertia) and the deterministic batch engine that runs them.
 
 Update rules, with I_i(t) = field_scale * sum_j J_ij s_j(t) + h_i:
 
@@ -11,10 +11,10 @@ sign(0) is +1, fixed. In quantized mode every arithmetic intermediate is
 truncated to the fixed-point grid and tanh goes through the lookup table;
 recorded energies always use the raw couplings in full precision.
 
-`run_trial` is the per-trial reference engine. `run_batch` runs trials in
-fixed-size vectorized blocks (grouped trials, as the hardware kernels do);
-block boundaries depend only on problem shape, never on the worker count,
-so results are reproducible for any `workers`.
+`run_batch` is the one engine: it runs trials in fixed-size vectorized
+blocks (grouped trials, as the hardware kernels do); block boundaries depend
+only on problem shape, never on the worker count, so results are
+reproducible for any `workers`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .core import (
     IsingInstance,
     Schedule,
     ScheduleKind,
-    SpinState,
     TrialRecord,
     as_spins,
     random_spins,
@@ -52,46 +51,6 @@ class NoiseDist(str, Enum):
     STD_NORMAL = "normal"
 
 
-@dataclass
-class NoiseSource:
-    """Seeded noise stream. A trial consumes draws in step order; identical
-    (seed, distribution, mode) always reproduce the identical stream.
-
-    mode: table_len None draws on the fly; an integer pre-generates a table
-    of that length which is then consumed cyclically (mirroring pre-loaded
-    hardware noise tables; the default is on-the-fly draws).
-    """
-
-    seed: int
-    distribution: NoiseDist = NoiseDist.STD_NORMAL
-    table_len: int | None = None
-
-    def __post_init__(self):
-        self._rng = np.random.default_rng(int(self.seed))
-        self._table = None
-        self._cursor = 0
-        if self.table_len is not None:
-            if self.table_len < 1:
-                raise ConfigError("noise table length must be >= 1")
-            self._table = self._draw(int(self.table_len))
-
-    def _draw(self, count: int) -> np.ndarray:
-        if self.distribution is NoiseDist.UNIFORM_PM1:
-            return self._rng.uniform(-1.0, 1.0, count)
-        return self._rng.standard_normal(count)
-
-    def block(self, shape) -> np.ndarray:
-        """Next draws of the stream, reshaped to `shape`."""
-        count = int(np.prod(shape))
-        if self._table is None:
-            flat = self._draw(count)
-        else:
-            idx = (self._cursor + np.arange(count)) % len(self._table)
-            flat = self._table[idx]
-            self._cursor = (self._cursor + count) % len(self._table)
-        return flat.reshape(shape)
-
-
 @dataclass(frozen=True)
 class Quantization:
     """Fixed-point format plus tanh LUT used by the quantized solver path."""
@@ -101,7 +60,10 @@ class Quantization:
 
     @classmethod
     def parse(cls, fmt_name: str, tanh_levels: int = 4) -> "Quantization":
-        return cls(FixedPointFormat.parse(fmt_name), TanhLut(int(tanh_levels)))
+        try:
+            return cls(FixedPointFormat.parse(fmt_name), TanhLut(int(tanh_levels)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def default_noise_distribution(kind: SolverKind) -> NoiseDist:
@@ -245,47 +207,6 @@ def schedule_for_solver(kind: SolverKind, family: str, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Single-step operations (reference semantics)
-
-
-def step_conv_sequential(inst: IsingInstance, s: SpinState, t: int,
-                         sched: Schedule, noise: NoiseSource) -> SpinState:
-    """One sequential update: only spin i = t mod N changes."""
-    s = np.asarray(s, dtype=np.float64)
-    i = t % inst.n
-    acc = inst.j[i] @ s
-    field = inst.field_scale * acc + inst.h[i]
-    z = float(np.tanh(sched.beta[t] * field)) + sched.eta[t] * noise.block((1,))[0]
-    out = s.copy()
-    out[i] = 1.0 if z >= 0.0 else -1.0
-    return out
-
-
-def step_conv_parallel(inst: IsingInstance, s: SpinState, t: int,
-                       sched: Schedule, noise: NoiseSource) -> SpinState:
-    """One fully parallel update of all spins from the pre-step state."""
-    s = np.asarray(s, dtype=np.float64)
-    fields = inst.field_scale * (inst.j @ s) + inst.h
-    z = np.tanh(sched.beta[t] * fields) + sched.eta[t] * noise.block((inst.n,))
-    return _sign_pm1(z)
-
-
-def step_pimi(inst: IsingInstance, s: SpinState, t: int,
-              sched: Schedule, noise: NoiseSource,
-              quantization: Quantization | None = None) -> SpinState:
-    """One parallel update with the self-alignment term xi * s_i(t)."""
-    s = np.asarray(s, dtype=np.float64)
-    if quantization is not None:
-        tables = _quantized_tables(inst, sched, quantization)
-        draws = noise.block((inst.n,))
-        return _quantized_parallel_update(s, t, tables, draws, with_inertia=True)
-    fields = inst.field_scale * (inst.j @ s) + inst.h
-    z = (np.tanh(sched.beta[t] * fields) + sched.xi * s
-         + sched.eta[t] * noise.block((inst.n,)))
-    return _sign_pm1(z)
-
-
-# ---------------------------------------------------------------------------
 # Quantized datapath
 
 @dataclass(frozen=True)
@@ -319,137 +240,24 @@ def _quantized_tables(inst: IsingInstance, sched: Schedule,
     )
 
 
-def _quantized_parallel_update(s, t, q: _QuantTables, draws, with_inertia: bool):
-    """All quantized intermediates share the format: the accumulated field,
-    the post-scaling product, the bias add, beta*I, the LUT output, xi*s,
-    the noise sample and its eta product, and each add of the final sum."""
+def _quantized_update(acc, hq, s, t, q: _QuantTables, draws, with_inertia: bool):
+    """Quantized update from an accumulated field `acc` (the caller's
+    `S @ jq` for all spins, or `S @ jq[i]` for one spin i, with `hq` and `s`
+    the matching bias and pre-step spins). All intermediates share the
+    format: the accumulated field, the post-scaling product, the bias add,
+    beta*I, the LUT output, xi*s, the noise sample and its eta product, and
+    each add of the final sum."""
     fmt = q.fmt
-    field = quantize(s @ q.jq, fmt)  # J symmetric; also handles (B, n) blocks
+    field = quantize(acc, fmt)
     if q.apply_scale:
         field = quantize(q.scale_q * field, fmt)
     if q.add_bias:
-        field = quantize(field + q.hq, fmt)
+        field = quantize(field + hq, fmt)
     drive = quantize(lut_tanh(quantize(q.beta_q[t] * field, fmt), q.lut), fmt)
     if with_inertia:
         drive = quantize(drive + quantize(q.xi_q * s, fmt), fmt)
     noise_term = quantize(q.eta_q[t] * quantize(draws, fmt), fmt)
     return _sign_pm1(quantize(drive + noise_term, fmt))
-
-
-def _quantized_sequential_update(s, t, i, q: _QuantTables, draw):
-    fmt = q.fmt
-    field = quantize(q.jq[i] @ s, fmt)
-    if q.apply_scale:
-        field = quantize(q.scale_q * field, fmt)
-    if q.add_bias:
-        field = quantize(field + q.hq[i], fmt)
-    drive = quantize(lut_tanh(quantize(q.beta_q[t] * field, fmt), q.lut), fmt)
-    noise_term = quantize(q.eta_q[t] * quantize(draw, fmt), fmt)
-    z = quantize(drive + noise_term, fmt)
-    return 1.0 if z >= 0.0 else -1.0
-
-
-# ---------------------------------------------------------------------------
-# Trial runner (per-trial reference engine)
-
-
-def run_trial(inst: IsingInstance, kind: SolverKind, sched: Schedule,
-              init: SpinState, noise: NoiseSource,
-              record_trajectory: bool = False,
-              record_states: bool = False,
-              quantization: Quantization | None = None,
-              seed: int = 0) -> TrialRecord:
-    """Execute t_steps updates from `init` and return the trial record.
-
-    The energy trajectory holds the full-precision energy of the state after
-    each update step (the initial state is not part of the trajectory);
-    best_energy / best_step / improvements are derived from it. For
-    conv-seq each step updates a single spin; for the parallel kinds each
-    step is one full sweep.
-    """
-    s = as_spins(init).copy()
-    if s.shape != (inst.n,):
-        raise DimensionError("initial state does not match instance size")
-    T = sched.t_steps
-    if T < 1:
-        raise ConfigError("schedule must have t_steps >= 1")
-    n = inst.n
-    j_raw = inst.j
-    h = inst.h
-    scale = inst.field_scale
-
-    seq = kind is SolverKind.CONV_SEQUENTIAL
-    draws = noise.block((T,)) if seq else noise.block((T, n))
-    qt = _quantized_tables(inst, sched, quantization) if quantization else None
-
-    traj = np.empty(T) if record_trajectory else None
-    states = np.empty((T + 1, n), dtype=np.int8) if record_states else None
-    if states is not None:
-        states[0] = s
-    improvements: list = []
-    best = np.inf
-    best_step = -1
-
-    def note(t_idx: int, e: float):
-        nonlocal best, best_step
-        if traj is not None:
-            traj[t_idx] = e
-        if e < best:
-            best = e
-            best_step = t_idx
-            improvements.append((t_idx, e))
-
-    if seq:
-        acc0 = j_raw @ s
-        h_cur = -0.5 * (s @ acc0) - h @ s
-        beta = sched.beta
-        eta = sched.eta
-        for t in range(T):
-            i = t % n
-            acc_i = j_raw[i] @ s
-            if qt is None:
-                # np.tanh keeps this path bit-identical to the block engine
-                z = float(np.tanh(beta[t] * (scale * acc_i + h[i]))) + eta[t] * draws[t]
-                new = 1.0 if z >= 0.0 else -1.0
-            else:
-                new = _quantized_sequential_update(s, t, i, qt, draws[t])
-            if new != s[i]:
-                h_cur += 2.0 * s[i] * (acc_i + h[i])
-                s[i] = new
-            if states is not None:
-                states[t + 1] = s
-            note(t, h_cur)
-    else:
-        with_inertia = kind is SolverKind.PIMI
-        beta = sched.beta
-        eta = sched.eta
-        xi = sched.xi
-        for t in range(T):
-            if qt is None:
-                acc = j_raw @ s
-                if t > 0:
-                    note(t - 1, float(-0.5 * (s @ acc) - h @ s))
-                z = np.tanh(beta[t] * (scale * acc + h))
-                if with_inertia:
-                    z = z + xi * s
-                s = _sign_pm1(z + eta[t] * draws[t])
-            else:
-                if t > 0:
-                    note(t - 1, float(-0.5 * (s @ (j_raw @ s)) - h @ s))
-                s = _quantized_parallel_update(s, t, qt, draws[t], with_inertia)
-            if states is not None:
-                states[t + 1] = s
-        note(T - 1, float(-0.5 * (s @ (j_raw @ s)) - h @ s))
-
-    return TrialRecord(
-        best_energy=float(best),
-        best_step=int(best_step),
-        final_spins=s.copy(),
-        seed=int(seed),
-        improvements=improvements,
-        energy_trajectory=traj,
-        state_trajectory=states,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +270,19 @@ def derive_trial_seed(base_seed: int, instance_index: int, trial_index: int) -> 
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def trial_setup(n: int, trial_seed: int, distribution: NoiseDist,
-                table_len: int | None = None):
-    """Initial random spins and the NoiseSource for one trial, both derived
-    deterministically from the trial seed."""
+def trial_setup(n: int, trial_seed: int):
+    """Initial random spins and the noise generator for one trial, both
+    derived deterministically from the trial seed."""
     init_ss, noise_ss = np.random.SeedSequence(int(trial_seed)).spawn(2)
     init = random_spins(n, np.random.default_rng(init_ss))
     noise_seed = int(noise_ss.generate_state(1, np.uint64)[0])
-    return init, NoiseSource(noise_seed, distribution, table_len)
+    return init, np.random.default_rng(noise_seed)
+
+
+def _draw_noise(rng: np.random.Generator, dist: NoiseDist, shape) -> np.ndarray:
+    if dist is NoiseDist.UNIFORM_PM1:
+        return rng.uniform(-1.0, 1.0, shape)
+    return rng.standard_normal(shape)
 
 
 _BLOCK_TRIALS = 64
@@ -486,31 +299,29 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
                base_seed: int, instance_index: int, trial_indices,
                record_trajectory: bool, record_states: bool,
                quantization: Quantization | None,
-               distribution: NoiseDist,
-               init_state: np.ndarray | None = None,
-               noise_table_len: int | None = None) -> list[TrialRecord]:
+               init_state: np.ndarray | None) -> list[TrialRecord]:
     """Vectorized engine: runs a block of trials of one instance together.
 
-    Each trial's seed, initial state, and noise stream are identical to the
-    per-trial machinery; only the arithmetic is grouped across trials.
-    `init_state`, when given, replaces every trial's random initial spins
-    with the same fixed configuration (noise streams stay per-trial).
+    Each trial's seed, initial state and noise stream depend only on
+    (base_seed, instance_index, trial index); the arithmetic is grouped
+    across trials. `init_state`, when given, replaces every trial's random
+    initial spins with the same fixed configuration (noise streams stay
+    per-trial).
     """
     n = inst.n
     T = sched.t_steps
     B = len(trial_indices)
     seq = kind is SolverKind.CONV_SEQUENTIAL
+    dist = default_noise_distribution(kind)
 
     seeds = [derive_trial_seed(base_seed, instance_index, k) for k in trial_indices]
     inits = np.empty((B, n))
-    draws = np.empty((T, B) if seq else (T, B, n))
+    shape = (T,) if seq else (T, n)
+    draws = np.empty((T, B) + shape[1:])
     for b, ts in enumerate(seeds):
-        init, ns = trial_setup(n, ts, distribution, noise_table_len)
-        inits[b] = init if init_state is None else as_spins(init_state)
-        if seq:
-            draws[:, b] = ns.block((T,))
-        else:
-            draws[:, b, :] = ns.block((T, n))
+        init, rng = trial_setup(n, ts)
+        inits[b] = init if init_state is None else init_state
+        draws[:, b] = _draw_noise(rng, dist, shape)
 
     S = inits.copy()
     j_raw = inst.j
@@ -546,7 +357,8 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
                 z = np.tanh(beta[t] * (scale * acc_i + h[i])) + eta[t] * draws[t]
                 new = _sign_pm1(z)
             else:
-                new = _seq_block_quantized(S, t, i, qt, draws[t])
+                new = _quantized_update(S @ qt.jq[i], qt.hq[i], S[:, i], t, qt,
+                                        draws[t], with_inertia=False)
             flipped = new != S[:, i]
             h_cur = h_cur + np.where(flipped, 2.0 * S[:, i] * (acc_i + h[i]), 0.0)
             S[:, i] = new
@@ -567,7 +379,8 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
             else:
                 if t > 0:
                     note(t - 1, -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h)
-                S = _quantized_parallel_update(S, t, qt, draws[t], with_inertia)
+                S = _quantized_update(S @ qt.jq, qt.hq, S, t, qt, draws[t],
+                                      with_inertia)
             if states is not None:
                 states[t + 1] = S
         note(T - 1, -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h)
@@ -586,43 +399,27 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
     return records
 
 
-def _seq_block_quantized(S, t, i, qt: _QuantTables, draws_t):
-    fmt = qt.fmt
-    field = quantize(S @ qt.jq[i], fmt)
-    if qt.apply_scale:
-        field = quantize(qt.scale_q * field, fmt)
-    if qt.add_bias:
-        field = quantize(field + qt.hq[i], fmt)
-    drive = quantize(lut_tanh(quantize(qt.beta_q[t] * field, fmt), qt.lut), fmt)
-    noise_term = quantize(qt.eta_q[t] * quantize(draws_t, fmt), fmt)
-    return _sign_pm1(quantize(drive + noise_term, fmt))
-
-
-def _run_block_task(args):
-    (inst_dict, kind, sched, base_seed, instance_index, trial_indices,
-     record_trajectory, record_states, quantization, distribution,
-     init_state, noise_table_len) = args
-    inst = IsingInstance.from_json_dict(inst_dict)
-    return _run_block(inst, kind, sched, base_seed, instance_index,
-                      trial_indices, record_trajectory, record_states,
-                      quantization, distribution, init_state, noise_table_len)
-
-
 def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
               base_seed: int, workers: int = 1,
               record_trajectory: bool = False,
               record_states: bool = False,
               quantization: Quantization | None = None,
-              distribution: NoiseDist | None = None,
-              init_state: np.ndarray | None = None,
-              noise_table_len: int | None = None) -> list[list[TrialRecord]]:
+              init_state: np.ndarray | None = None) -> list[list[TrialRecord]]:
     """Run n_trials per instance; returns records ordered by
     (instance index, trial index) regardless of worker scheduling.
 
     Trials are grouped into fixed-size blocks and the block tasks are
     consumed from a shared queue by the worker pool; per-trial seeds are
     derived from (base_seed, instance index, trial index), so the result
-    set is independent of scheduling.
+    set is independent of scheduling. Conventional kinds draw U(-1,1)
+    noise and pimi draws N(0,1) (`default_noise_distribution`).
+
+    The trajectories hold the full-precision energy of the state after each
+    update step (the initial state is not part of the trajectory), and
+    best_energy / best_step / improvements derive from them. For conv-seq
+    each step updates the single spin t mod N; for the parallel kinds each
+    step is one full sweep. `init_state`, a length-N spin vector, starts
+    every trial from that state instead of the trial's random one.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
@@ -631,8 +428,13 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
     instances = list(instances)
     if not instances:
         return []
-    if distribution is None:
-        distribution = default_noise_distribution(kind)
+    if init_state is not None:
+        init_state = as_spins(init_state)
+        for inst in instances:
+            if init_state.shape != (inst.n,):
+                raise DimensionError(
+                    f"initial state of shape {init_state.shape} does not "
+                    f"match instance size {inst.n}")
 
     block = _block_size(sched.t_steps, instances[0].n,
                         kind is not SolverKind.CONV_SEQUENTIAL)
@@ -640,16 +442,16 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
     for i_idx, inst in enumerate(instances):
         for start in range(0, n_trials, block):
             trial_indices = list(range(start, min(start + block, n_trials)))
-            tasks.append((inst.to_json_dict(), kind, sched, base_seed, i_idx,
-                          trial_indices, record_trajectory, record_states,
-                          quantization, distribution, init_state,
-                          noise_table_len))
+            tasks.append((inst, kind, sched, base_seed, i_idx, trial_indices,
+                          record_trajectory, record_states, quantization,
+                          init_state))
 
     if workers == 1:
-        chunks = [_run_block_task(task) for task in tasks]
+        chunks = [_run_block(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_block_task, tasks))
+            futures = [pool.submit(_run_block, *task) for task in tasks]
+            chunks = [future.result() for future in futures]
 
     results: list[list[TrialRecord]] = [[] for _ in instances]
     task_idx = 0

@@ -44,13 +44,9 @@ from pimi_lab.mimo import (
 from pimi_lab.oracle import exhaustive, local_search_oracle, sim_anneal_oracle
 from pimi_lab.quantize import FixedPointFormat, TanhLut, lut_tanh, quantize
 from pimi_lab.solvers import (
-    NoiseDist,
-    NoiseSource,
     SolverKind,
     run_batch,
     schedule_for_solver,
-    step_conv_parallel,
-    step_pimi,
 )
 
 BENCH_SEED = 2026
@@ -110,20 +106,18 @@ def test_criterion_02_oscillation_witness():
     steps = 8
     sched = Schedule(ScheduleKind.CUSTOM, np.full(steps, 1e6),
                      np.zeros(steps), 0.0, steps)
-    s = np.array([1.0, -1.0])
-    states = [s.copy()]
-    for t in range(steps):
-        s = step_conv_parallel(inst, s, t, sched, NoiseSource(0, NoiseDist.UNIFORM_PM1))
-        states.append(s.copy())
+    s0 = np.array([1.0, -1.0])
+    states = run_batch([inst], SolverKind.CONV_PARALLEL, sched, 1, base_seed=0,
+                       init_state=s0, record_states=True)[0][0].state_trajectory
     period_two = all(np.array_equal(states[k], states[k + 2])
                      and not np.array_equal(states[k], states[k + 1])
                      for k in range(len(states) - 2))
 
     sched_i = Schedule(ScheduleKind.CUSTOM, np.full(steps, 1e6),
                        np.zeros(steps), 1.0, steps)
-    s0 = np.array([1.0, -1.0])
-    s1 = step_pimi(inst, s0, 0, sched_i, NoiseSource(0))
-    s2 = step_pimi(inst, s1, 1, sched_i, NoiseSource(0))
+    _, s1, s2 = run_batch([inst], SolverKind.PIMI, sched_i, 1, base_seed=0,
+                          init_state=s0,
+                          record_states=True)[0][0].state_trajectory[:3]
     fixed_point = np.array_equal(s1, s2)
     elapsed = time.perf_counter() - t0
     ok = period_two and fixed_point and elapsed < 1.0

@@ -149,6 +149,16 @@ class TestExperiments:
         run_experiment(m4, workers=4)
         assert archive_hash(tmp_path / "w1") == archive_hash(tmp_path / "w4")
 
+    @pytest.mark.parametrize("text", [
+        MANIFEST.replace("solvers = pimi,conv-seq", "solvers = pimi,conv-bogus"),
+        "schema_version = 1\nfamily = mimo-ber\nseed = 5\nnt = 2\nqam = 4\n"
+        "scenarios = 4\ndetectors = mmse,bogus\n",
+    ], ids=["solvers", "detectors"])
+    def test_unknown_solver_name_rejected(self, tmp_path, text):
+        m = parse_manifest_text(text + f"out = {tmp_path / 'run'}\n")
+        with pytest.raises(ConfigError, match="bogus"):
+            run_experiment(m, workers=1)
+
     def test_mimo_ber_family(self, tmp_path):
         text = (
             "schema_version = 1\nfamily = mimo-ber\nseed = 5\n"
@@ -241,6 +251,31 @@ class TestCli:
         assert code == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "gs.json").exists()
+
+    def test_wrongly_shaped_instance_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 3, "j": [[0.0, 1.0], [1.0, 0.0]],
+                                    "h": [0.0, 0.0, 0.0]}))
+        code = main(["oracle", "--method", "sa", "--in", str(path),
+                     "--out", str(tmp_path / "gs.json")])
+        assert code == 2
+        assert "3x3" in capsys.readouterr().err
+        assert not (tmp_path / "gs.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--quantized", "q16"], "fixed-point format"),
+        (["--quantized", "q16.4", "--tanh-levels", "1"], "LUT"),
+    ], ids=["format", "tanh-levels"])
+    def test_malformed_quantization_exit_code(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 2, "j": [[0.0, 1.0], [1.0, 0.0]],
+                                    "h": [0.0, 0.0]}))
+        code = main(["solve", "--kind", "pimi", "--in", str(path),
+                     "--schedule", "sk1", "--steps", "10", "--trials", "2",
+                     *flags, "--out", str(tmp_path / "rec.jsonl")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rec.jsonl").exists()
 
     def test_quantized_solve_cli(self, tmp_path):
         inst = tmp_path / "inst"

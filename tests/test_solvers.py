@@ -5,6 +5,7 @@ import pytest
 
 from pimi_lab.core import (
     ConfigError,
+    DimensionError,
     IsingInstance,
     Schedule,
     ScheduleKind,
@@ -13,7 +14,6 @@ from pimi_lab.core import (
 from pimi_lab.instances import Family, GeneratorSpec, gen_maxcut, gen_sk1
 from pimi_lab.solvers import (
     NoiseDist,
-    NoiseSource,
     Quantization,
     SolverKind,
     default_noise_distribution,
@@ -21,11 +21,7 @@ from pimi_lab.solvers import (
     derive_trial_seed,
     make_schedule,
     run_batch,
-    run_trial,
     schedule_for_solver,
-    step_conv_parallel,
-    step_conv_sequential,
-    step_pimi,
     trial_setup,
 )
 
@@ -48,8 +44,12 @@ def const_schedule(beta, eta, xi, t_steps, kind=ScheduleKind.CUSTOM):
                     np.full(t_steps, float(eta)), xi, t_steps)
 
 
-def noiseless(seed=0, dist=NoiseDist.STD_NORMAL):
-    return NoiseSource(seed, dist)
+def trajectory(inst, kind, sched, init, base_seed=0):
+    """State trajectory (initial state first) of one trial started from
+    `init`; with eta = 0 every step is deterministic."""
+    rec = run_batch([inst], kind, sched, 1, base_seed=base_seed,
+                    init_state=init, record_states=True)[0][0]
+    return rec.state_trajectory.astype(float)
 
 
 class TestSteps:
@@ -57,55 +57,53 @@ class TestSteps:
         # beta -> inf limit: tanh saturates, spin follows its field sign
         inst = ferromagnet2()
         sched = const_schedule(1e6, 0.0, 0.0, 2)
-        s = np.array([1.0, -1.0])
-        out = step_conv_sequential(inst, s, 1, sched, noiseless())
-        assert np.array_equal(out, [1.0, 1.0])  # only spin 1 changed
+        out = trajectory(inst, SolverKind.CONV_SEQUENTIAL, sched, [-1.0, 1.0])[1]
+        assert np.array_equal(out, [1.0, 1.0])  # only spin 0 changed
 
     def test_sequential_only_moves_one_spin(self):
         inst = k3()
         sched = const_schedule(0.5, 0.0, 0.0, 3)
-        s = np.array([1.0, 1.0, 1.0])
-        out = step_conv_sequential(inst, s, 2, sched, noiseless())
-        changed = np.nonzero(out != s)[0]
-        assert set(changed) <= {2}
+        states = trajectory(inst, SolverKind.CONV_SEQUENTIAL, sched, [1.0, 1.0, 1.0])
+        for t in range(3):
+            changed = np.nonzero(states[t + 1] != states[t])[0]
+            assert set(changed) <= {t}
 
     def test_sign_zero_is_plus_one(self):
         # eta = 0 and zero field: sign(tanh(0)) must resolve to +1
         inst = IsingInstance(2, np.zeros((2, 2)), np.zeros(2))
         sched = const_schedule(1.0, 0.0, 0.0, 2)
-        s = np.array([-1.0, -1.0])
-        out = step_conv_sequential(inst, s, 0, sched, noiseless())
+        s = [-1.0, -1.0]
+        out = trajectory(inst, SolverKind.CONV_SEQUENTIAL, sched, s)[1]
         assert out[0] == 1.0
-        out_par = step_conv_parallel(inst, s, 0, sched, noiseless())
+        out_par = trajectory(inst, SolverKind.CONV_PARALLEL, sched, s)[1]
         assert np.array_equal(out_par, [1.0, 1.0])
 
     def test_parallel_antiferromagnet_stable(self):
         inst = antiferromagnet2()
         sched = const_schedule(1e6, 0.0, 0.0, 1)
         s = np.array([1.0, -1.0])
-        out = step_conv_parallel(inst, s, 0, sched, noiseless())
+        out = trajectory(inst, SolverKind.CONV_PARALLEL, sched, s)[1]
         assert np.array_equal(out, s)
 
     def test_parallel_ferromagnet_oscillates(self):
         # both spins chase each other: the coupled-oscillation pathology
         inst = ferromagnet2()
         sched = const_schedule(1e6, 0.0, 0.0, 1)
-        s = np.array([1.0, -1.0])
-        out = step_conv_parallel(inst, s, 0, sched, noiseless())
+        out = trajectory(inst, SolverKind.CONV_PARALLEL, sched, [1.0, -1.0])[1]
         assert np.array_equal(out, [-1.0, 1.0])
 
     def test_pimi_large_xi_freezes(self):
         inst = ferromagnet2()
         sched = const_schedule(5.0, 0.0, 2.0, 1)
         for s in ([1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]):
-            out = step_pimi(inst, np.array(s), 0, sched, noiseless())
+            out = trajectory(inst, SolverKind.PIMI, sched, s)[1]
             assert np.array_equal(out, s)
 
     def test_pimi_half_xi_two_spin(self):
         # xi = 0.5 does not freeze the 2-spin flip: direct evaluation gives (-1, +1)
         inst = ferromagnet2()
         sched = const_schedule(1e6, 0.0, 0.5, 1)
-        out = step_pimi(inst, np.array([1.0, -1.0]), 0, sched, noiseless())
+        out = trajectory(inst, SolverKind.PIMI, sched, [1.0, -1.0])[1]
         assert np.array_equal(out, [-1.0, 1.0])
 
     def test_parallel_reads_pre_step_state(self):
@@ -114,7 +112,7 @@ class TestSteps:
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 9, 3))
         sched = const_schedule(0.8, 0.0, 0.3, 1)
         s = rng.integers(0, 2, 9) * 2.0 - 1.0
-        out = step_pimi(inst, s, 0, sched, noiseless())
+        out = trajectory(inst, SolverKind.PIMI, sched, s)[1]
         expected = np.empty(9)
         for i in range(9):
             field = inst.field_scale * (inst.j[i] @ s) + inst.h[i]
@@ -127,19 +125,13 @@ class TestOscillationWitness:
     def test_period_two_versus_fixed_point(self):
         inst = ferromagnet2()
         sched = const_schedule(1e6, 0.0, 0.0, 6)
-        s = np.array([1.0, -1.0])
-        seen = [s]
-        for t in range(6):
-            s = step_conv_parallel(inst, s, t, sched, noiseless())
-            seen.append(s.copy())
+        seen = trajectory(inst, SolverKind.CONV_PARALLEL, sched, [1.0, -1.0])
         for k in range(len(seen) - 2):
             assert np.array_equal(seen[k], seen[k + 2])
             assert not np.array_equal(seen[k], seen[k + 1])
 
         sched_i = const_schedule(1e6, 0.0, 1.0, 6)
-        s = np.array([1.0, -1.0])
-        s1 = step_pimi(inst, s, 0, sched_i, noiseless())
-        s2 = step_pimi(inst, s1, 1, sched_i, noiseless())
+        _, s1, s2 = trajectory(inst, SolverKind.PIMI, sched_i, [1.0, -1.0])[:3]
         assert np.array_equal(s1, s2)  # fixed point within one step
 
 
@@ -149,29 +141,30 @@ class TestRunTrial:
         sched = make_schedule(ScheduleKind.PIMI_BENCH,
                               default_schedule_params(ScheduleKind.PIMI_BENCH, "maxcut", 3),
                               50)
-        init, _ = trial_setup(3, 7, NoiseDist.STD_NORMAL)
-        a = run_trial(inst, SolverKind.PIMI, sched, init, NoiseSource(9), record_trajectory=True)
-        b = run_trial(inst, SolverKind.PIMI, sched, init, NoiseSource(9), record_trajectory=True)
-        assert a.best_energy == b.best_energy
-        assert a.best_step == b.best_step
-        assert np.array_equal(a.final_spins, b.final_spins)
-        assert np.array_equal(a.energy_trajectory, b.energy_trajectory)
-        assert a.improvements == b.improvements
+        a = run_batch([inst], SolverKind.PIMI, sched, 4, base_seed=9,
+                      record_trajectory=True)[0]
+        b = run_batch([inst], SolverKind.PIMI, sched, 4, base_seed=9,
+                      record_trajectory=True)[0]
+        for x, y in zip(a, b):
+            assert x.best_energy == y.best_energy
+            assert x.best_step == y.best_step
+            assert np.array_equal(x.final_spins, y.final_spins)
+            assert np.array_equal(x.energy_trajectory, y.energy_trajectory)
+            assert x.improvements == y.improvements
 
     def test_single_step_is_one_sweep(self):
         inst = ferromagnet2()
         sched = const_schedule(1e6, 0.0, 0.0, 1)
-        rec = run_trial(inst, SolverKind.CONV_PARALLEL, sched,
-                        np.array([1.0, -1.0]), noiseless(), record_states=True)
+        rec = run_batch([inst], SolverKind.CONV_PARALLEL, sched, 1, base_seed=0,
+                        init_state=np.array([1.0, -1.0]), record_states=True)[0][0]
         assert rec.state_trajectory.shape == (2, 2)
         assert rec.best_step == 0
 
     def test_trajectory_semantics(self):
         inst = k3()
         sched = const_schedule(0.7, 0.2, 0.5, 40)
-        init, ns = trial_setup(3, 11, NoiseDist.STD_NORMAL)
-        rec = run_trial(inst, SolverKind.PIMI, sched, init, ns,
-                        record_trajectory=True, record_states=True)
+        rec = run_batch([inst], SolverKind.PIMI, sched, 1, base_seed=11,
+                        record_trajectory=True, record_states=True)[0][0]
         # trajectory[k] is the energy of the state after update step k
         for k in range(sched.t_steps):
             assert rec.energy_trajectory[k] == pytest.approx(
@@ -185,9 +178,8 @@ class TestRunTrial:
         # after N sequential steps each index was touched exactly once, in order
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 1))
         sched = const_schedule(0.4, 0.5, 0.0, 6)
-        init, ns = trial_setup(6, 3, NoiseDist.UNIFORM_PM1)
-        rec = run_trial(inst, SolverKind.CONV_SEQUENTIAL, sched, init, ns,
-                        record_states=True)
+        rec = run_batch([inst], SolverKind.CONV_SEQUENTIAL, sched, 1, base_seed=3,
+                        record_states=True)[0][0]
         states = rec.state_trajectory.astype(float)
         for t in range(6):
             changed = np.nonzero(states[t + 1] != states[t])[0]
@@ -200,30 +192,31 @@ class TestRunTrial:
             inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 12, seed))
             sched = const_schedule(2.0, 0.0, 1.01, 1000)
             init = rng.integers(0, 2, 12) * 2.0 - 1.0
-            rec = run_trial(inst, SolverKind.PIMI, sched, init, noiseless(seed),
-                            record_states=True)
-            assert np.all(rec.state_trajectory == rec.state_trajectory[0])
+            states = trajectory(inst, SolverKind.PIMI, sched, init, base_seed=seed)
+            assert np.all(states == states[0])
 
     def test_pimi_xi0_uniform_degenerates_to_conv_parallel(self):
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 10, 2))
         sched = const_schedule(0.6, 0.8, 0.0, 120)
-        init, _ = trial_setup(10, 21, NoiseDist.UNIFORM_PM1)
-        a = run_trial(inst, SolverKind.PIMI, sched, init,
-                      NoiseSource(33, NoiseDist.UNIFORM_PM1), record_states=True)
-        b = run_trial(inst, SolverKind.CONV_PARALLEL, sched, init,
-                      NoiseSource(33, NoiseDist.UNIFORM_PM1), record_states=True)
-        assert np.array_equal(a.state_trajectory, b.state_trajectory)
+        init, _ = trial_setup(10, 21)
+        # noise-free, the two kinds step identically
+        still = const_schedule(0.6, 0.0, 0.0, 120)
+        a = trajectory(inst, SolverKind.PIMI, still, init)
+        b = trajectory(inst, SolverKind.CONV_PARALLEL, still, init)
+        assert np.array_equal(a, b)
+        # with noise, pimi at xi = 0 follows the conv-par rule on its own draws
+        states = trajectory(inst, SolverKind.PIMI, sched, init, base_seed=33)
+        _, rng = trial_setup(10, derive_trial_seed(33, 0, 0))
+        ref, _ = reference_trial(inst, SolverKind.CONV_PARALLEL, sched, init,
+                                 rng.standard_normal((120, 10)))
+        assert np.array_equal(states, ref)
 
     def test_k3_pimi_reaches_ground(self):
         inst = k3()
         params = default_schedule_params(ScheduleKind.PIMI_BENCH, "maxcut", 3)
         sched = make_schedule(ScheduleKind.PIMI_BENCH, params, 300)
-        hits = 0
-        for trial in range(256):
-            seed = derive_trial_seed(100, 0, trial)
-            init, ns = trial_setup(3, seed, NoiseDist.STD_NORMAL)
-            rec = run_trial(inst, SolverKind.PIMI, sched, init, ns, seed=seed)
-            hits += rec.best_energy <= -1.0
+        records = run_batch([inst], SolverKind.PIMI, sched, 256, base_seed=100)[0]
+        hits = sum(rec.best_energy <= -1.0 for rec in records)
         assert hits >= 250
 
     def test_default_noise_distributions(self):
@@ -234,38 +227,22 @@ class TestRunTrial:
 
 class TestNoiseSource:
     def test_same_seed_same_stream(self):
-        a = NoiseSource(5).block((100,))
-        b = NoiseSource(5).block((100,))
-        assert np.array_equal(a, b)
-
-    def test_pregenerated_cycles(self):
-        ns = NoiseSource(5, NoiseDist.STD_NORMAL, table_len=16)
-        first = ns.block((16,))
-        again = ns.block((16,))
-        assert np.array_equal(first, again)
-
-    def test_pregenerated_same_seed_same_stream(self):
-        a = NoiseSource(5, NoiseDist.UNIFORM_PM1, table_len=32).block((50,))
-        b = NoiseSource(5, NoiseDist.UNIFORM_PM1, table_len=32).block((50,))
-        assert np.array_equal(a, b)
+        init_a, rng_a = trial_setup(8, 5)
+        init_b, rng_b = trial_setup(8, 5)
+        assert np.array_equal(init_a, init_b)
+        assert np.array_equal(rng_a.standard_normal(100), rng_b.standard_normal(100))
 
     def test_uniform_range(self):
-        draws = NoiseSource(1, NoiseDist.UNIFORM_PM1).block((2000,))
-        assert draws.min() >= -1.0 and draws.max() <= 1.0
-        assert abs(draws.mean()) < 0.1
-
-    def test_pregenerated_mode_through_batch(self):
-        # the table mode mirrors pre-loaded hardware noise: deterministic,
-        # and generally a different stream than on-the-fly draws
-        inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 8, 3))
-        sched = schedule_for_solver(SolverKind.PIMI, "sk1", 8, 50)
-        a = run_batch([inst], SolverKind.PIMI, sched, 4, base_seed=2,
-                      noise_table_len=64)[0]
-        b = run_batch([inst], SolverKind.PIMI, sched, 4, base_seed=2,
-                      noise_table_len=64)[0]
-        for x, y in zip(a, b):
-            assert np.array_equal(x.final_spins, y.final_spins)
-            assert x.improvements == y.improvements
+        # conv kinds draw U(-1,1): a drive saturated at tanh = 1 is never
+        # overturned by a draw, and at zero drive the draw's sign is balanced
+        n, steps = 50, 40
+        noisy = const_schedule(1e6, 1.0, 0.0, steps)
+        pinned = IsingInstance(n, np.zeros((n, n)), np.ones(n))
+        states = trajectory(pinned, SolverKind.CONV_PARALLEL, noisy, np.ones(n), 1)
+        assert np.all(states == 1.0)
+        free = IsingInstance(n, np.zeros((n, n)), np.zeros(n))
+        states = trajectory(free, SolverKind.CONV_PARALLEL, noisy, np.ones(n), 1)
+        assert abs(states[1:].mean()) < 0.1
 
 
 class TestSchedules:
@@ -345,40 +322,49 @@ class TestRunBatch:
                                       SolverKind.CONV_SEQUENTIAL])
     def test_block_engine_matches_reference_on_integer_couplings(self, kind):
         # integer-valued benchmark couplings make every field accumulation
-        # exact, so the grouped engine must agree with the per-trial engine
+        # exact, so the grouped engine must agree with the scalar reference
         # bit for bit even in full precision
-        from pimi_lab.solvers import default_noise_distribution
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 11, 6))
         sched = schedule_for_solver(kind, "sk1", 11, 150)
         batch = run_batch([inst], kind, sched, 10, base_seed=8,
-                          record_trajectory=True)[0]
+                          record_trajectory=True, record_states=True)[0]
         for t_idx, rec in enumerate(batch):
-            seed = derive_trial_seed(8, 0, t_idx)
-            init, ns = trial_setup(11, seed, default_noise_distribution(kind))
-            ref = run_trial(inst, kind, sched, init, ns,
-                            record_trajectory=True, seed=seed)
-            assert np.array_equal(rec.final_spins, ref.final_spins)
-            assert np.array_equal(rec.energy_trajectory, ref.energy_trajectory)
-            assert rec.improvements == ref.improvements
+            init, draws = trial_noise(kind, 11, 150, derive_trial_seed(8, 0, t_idx))
+            states, energies = reference_trial(inst, kind, sched, init, draws)
+            assert np.array_equal(rec.state_trajectory, states)
+            assert np.array_equal(rec.final_spins, states[-1])
+            assert np.array_equal(rec.energy_trajectory, energies)
+            assert rec.improvements == improvements_of(energies)
 
     @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
                                       SolverKind.CONV_SEQUENTIAL])
     def test_block_engine_matches_reference_quantized(self, kind):
         # quantized arithmetic is exact on the fixed-point grid, so the
-        # grouped engine must agree bit-for-bit with the per-trial engine
-        from pimi_lab.solvers import default_noise_distribution
+        # grouped engine must agree bit-for-bit with the scalar reference;
+        # the coarse q8.3 grid makes every truncation step visible in the
+        # spin decisions
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 7, 5))
         sched = schedule_for_solver(kind, "sk1", 7, 40)
-        quant = Quantization.parse("q16.4", 4)
-        batch = run_batch([inst], kind, sched, 6, base_seed=2,
-                          quantization=quant, record_trajectory=True)[0]
-        for t_idx, rec in enumerate(batch):
-            seed = derive_trial_seed(2, 0, t_idx)
-            init, ns = trial_setup(7, seed, default_noise_distribution(kind))
-            ref = run_trial(inst, kind, sched, init, ns,
-                            record_trajectory=True, quantization=quant, seed=seed)
-            assert np.array_equal(rec.final_spins, ref.final_spins)
-            assert np.array_equal(rec.energy_trajectory, ref.energy_trajectory)
+        for total_bits, int_bits in ((16, 4), (8, 3)):
+            quant = Quantization.parse(f"q{total_bits}.{int_bits}", 4)
+            batch = run_batch([inst], kind, sched, 6, base_seed=2,
+                              quantization=quant, record_trajectory=True,
+                              record_states=True)[0]
+            for t_idx, rec in enumerate(batch):
+                init, draws = trial_noise(kind, 7, 40, derive_trial_seed(2, 0, t_idx))
+                states, energies = reference_trial(inst, kind, sched, init, draws,
+                                                   quant=(total_bits, int_bits, 4))
+                assert np.array_equal(rec.state_trajectory, states)
+                assert np.array_equal(rec.final_spins, states[-1])
+                assert np.array_equal(rec.energy_trajectory, energies)
+
+    def test_init_state_must_match_instance_size(self):
+        inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 0))
+        sched = const_schedule(1.0, 0.1, 0.0, 5)
+        for bad in (np.array([-1.0]), -np.ones(4)):
+            with pytest.raises(DimensionError):
+                run_batch([inst], SolverKind.PIMI, sched, 2, base_seed=1,
+                          init_state=bad)
 
     def test_worker_error_propagates(self):
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 0))
@@ -388,9 +374,9 @@ class TestRunBatch:
 
 
 # ---------------------------------------------------------------------------
-# Independent straight-line interpreter of the quantized inertial update,
-# written against the documented datapath only (scalar arithmetic, its own
-# quantizer and LUT search).
+# Independent scalar interpreter of the three update rules, written against
+# the documented datapath only: scalar arithmetic, one spin at a time, its own
+# quantizer and LUT search, energies from the pairwise sum.
 
 
 def _sl_quant(x, total_bits, int_bits):
@@ -415,43 +401,103 @@ def _sl_lut_tanh(x, levels):
     return float(outs[-1])
 
 
-def straightline_pimi_quantized(inst, sched, init, draws, total_bits, int_bits, levels):
-    """Scalar transcription of the parallel inertial update, fully quantized."""
-    def q(x):
-        return _sl_quant(x, total_bits, int_bits)
+def trial_noise(kind, n, t_steps, trial_seed):
+    """A trial's initial spins and its whole noise table under the noise
+    contract: U(-1,1) for the conventional kinds, N(0,1) for pimi; one draw
+    per step for conv-seq, one per spin and step for the parallel kinds."""
+    init, rng = trial_setup(n, trial_seed)
+    if kind is SolverKind.CONV_SEQUENTIAL:
+        return init, rng.uniform(-1.0, 1.0, t_steps)
+    if kind is SolverKind.CONV_PARALLEL:
+        return init, rng.uniform(-1.0, 1.0, (t_steps, n))
+    return init, rng.standard_normal((t_steps, n))
 
+
+def improvements_of(energies):
+    best, out = math.inf, []
+    for t, e in enumerate(energies):
+        if e < best:
+            best = e
+            out.append((t, float(e)))
+    return out
+
+
+def reference_trial(inst, kind, sched, init, draws, quant=None):
+    """Scalar transcription of one trial from `init` with explicit `draws`.
+
+    conv-seq updates spin t mod N at step t from the current state; conv-par
+    and pimi update every spin from the pre-step state, pimi adding xi*s.
+    `quant` = (total_bits, int_bits, lut_levels) runs the fixed-point
+    datapath with the LUT tanh; None runs full precision. Returns the
+    (T+1, N) state trajectory, initial state first, and the full-precision
+    energy after each step.
+    """
     n = inst.n
-    jq = [[q(inst.j[i, k]) for k in range(n)] for i in range(n)]
-    hq = [q(v) for v in inst.h]
-    scale_q = q(inst.field_scale)
-    beta_q = [q(v) for v in sched.beta]
-    eta_q = [q(v) for v in sched.eta]
-    xi_q = q(sched.xi)
+    if quant is None:
+        def q(x):
+            return x
+
+        def act(x):
+            return float(np.tanh(x))
+
+        jq = inst.j.tolist()
+        hq = [float(v) for v in inst.h]
+        scale_q, xi_q = inst.field_scale, sched.xi
+        beta_q = [float(v) for v in sched.beta]
+        eta_q = [float(v) for v in sched.eta]
+    else:
+        total_bits, int_bits, levels = quant
+
+        def q(x):
+            return _sl_quant(x, total_bits, int_bits)
+
+        def act(x):
+            return _sl_lut_tanh(x, levels)
+
+        jq = [[q(inst.j[i, k]) for k in range(n)] for i in range(n)]
+        hq = [q(v) for v in inst.h]
+        scale_q, xi_q = q(inst.field_scale), q(sched.xi)
+        beta_q = [q(v) for v in sched.beta]
+        eta_q = [q(v) for v in sched.eta]
     use_scale = inst.field_scale != 1.0
     use_bias = any(v != 0.0 for v in inst.h)
+    sequential = kind is SolverKind.CONV_SEQUENTIAL
+    inertial = kind is SolverKind.PIMI
+
+    def update(s, t, i, draw):
+        acc = 0.0
+        for k in range(n):
+            acc += q(jq[i][k] * s[k])
+        f = q(acc)
+        if use_scale:
+            f = q(scale_q * f)
+        if use_bias:
+            f = q(f + hq[i])
+        drive = q(act(q(beta_q[t] * f)))
+        if inertial:
+            drive = q(drive + q(xi_q * s[i]))
+        z = q(drive + q(eta_q[t] * q(float(draw))))
+        return 1.0 if z >= 0.0 else -1.0
+
+    def pair_energy(s):
+        e = 0.0
+        for i in range(n):
+            for k in range(i + 1, n):
+                e -= inst.j[i, k] * s[i] * s[k]
+            e -= inst.h[i] * s[i]
+        return e
 
     s = [float(v) for v in init]
-    states = [list(s)]
+    states, energies = [list(s)], []
     for t in range(sched.t_steps):
-        new = [0.0] * n
-        for i in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += q(jq[i][k] * s[k])
-            f = q(acc)
-            if use_scale:
-                f = q(scale_q * f)
-            if use_bias:
-                f = q(f + hq[i])
-            a = q(beta_q[t] * f)
-            u = q(_sl_lut_tanh(a, levels))
-            drive = q(u + q(xi_q * s[i]))
-            w = q(eta_q[t] * q(float(draws[t, i])))
-            z = q(drive + w)
-            new[i] = 1.0 if z >= 0.0 else -1.0
-        s = new
+        if sequential:
+            i = t % n
+            s[i] = update(s, t, i, draws[t])
+        else:
+            s = [update(s, t, i, draws[t][i]) for i in range(n)]
         states.append(list(s))
-    return np.array(states)
+        energies.append(pair_energy(s))
+    return np.array(states), np.array(energies)
 
 
 class TestQuantizedTrace:
@@ -459,26 +505,22 @@ class TestQuantizedTrace:
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 8))
         sched = schedule_for_solver(SolverKind.PIMI, "sk1", 6, 30)
         quant = Quantization.parse("q4.2", 4)
-        seed = derive_trial_seed(3, 0, 0)
-        init, ns = trial_setup(6, seed, NoiseDist.STD_NORMAL)
-        probe_init, probe_ns = trial_setup(6, seed, NoiseDist.STD_NORMAL)
-        draws = probe_ns.block((30, 6))
+        init, draws = trial_noise(SolverKind.PIMI, 6, 30, derive_trial_seed(3, 0, 0))
 
-        rec = run_trial(inst, SolverKind.PIMI, sched, init, ns,
-                        record_states=True, quantization=quant)
-        ref_states = straightline_pimi_quantized(inst, sched, probe_init, draws, 4, 2, 4)
+        rec = run_batch([inst], SolverKind.PIMI, sched, 1, base_seed=3,
+                        record_states=True, quantization=quant)[0][0]
+        ref_states, _ = reference_trial(inst, SolverKind.PIMI, sched, init, draws,
+                                        quant=(4, 2, 4))
         assert np.array_equal(rec.state_trajectory.astype(float), ref_states)
 
     def test_matches_straightline_q164(self):
         inst, _ = gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 8, 2))
         sched = schedule_for_solver(SolverKind.PIMI, "maxcut", 8, 25)
         quant = Quantization.parse("q16.4", 4)
-        seed = derive_trial_seed(5, 0, 1)
-        init, ns = trial_setup(8, seed, NoiseDist.STD_NORMAL)
-        probe_init, probe_ns = trial_setup(8, seed, NoiseDist.STD_NORMAL)
-        draws = probe_ns.block((25, 8))
+        init, draws = trial_noise(SolverKind.PIMI, 8, 25, derive_trial_seed(5, 0, 1))
 
-        rec = run_trial(inst, SolverKind.PIMI, sched, init, ns,
-                        record_states=True, quantization=quant)
-        ref_states = straightline_pimi_quantized(inst, sched, probe_init, draws, 16, 4, 4)
+        rec = run_batch([inst], SolverKind.PIMI, sched, 2, base_seed=5,
+                        record_states=True, quantization=quant)[0][1]
+        ref_states, _ = reference_trial(inst, SolverKind.PIMI, sched, init, draws,
+                                        quant=(16, 4, 4))
         assert np.array_equal(rec.state_trajectory.astype(float), ref_states)
