@@ -4,18 +4,14 @@ from .core import (
     ConfigError,
     DimensionError,
     IsingInstance,
-    NotMaxCutError,
     Schedule,
     ScheduleKind,
     SpinState,
     TrialRecord,
-    cut_value,
     energy,
-    local_fields,
 )
 from .quantize import FixedPointFormat, TanhLut, lut_tanh, quantize
 from .solvers import (
-    NoiseDist,
     Quantization,
     SolverKind,
     make_schedule,
@@ -29,8 +25,6 @@ __all__ = [
     "DimensionError",
     "FixedPointFormat",
     "IsingInstance",
-    "NoiseDist",
-    "NotMaxCutError",
     "Quantization",
     "Schedule",
     "ScheduleKind",
@@ -38,9 +32,7 @@ __all__ = [
     "SpinState",
     "TanhLut",
     "TrialRecord",
-    "cut_value",
     "energy",
-    "local_fields",
     "lut_tanh",
     "make_schedule",
     "quantize",

@@ -23,6 +23,7 @@ from .harness import (
     EXIT_UNSOLVED,
     default_workers,
     load_manifest,
+    parse_sweep,
     run_experiment,
     stage_ccts,
     stage_flip_rate,
@@ -84,7 +85,8 @@ def _add_ccts(sub):
     p.add_argument("--records", required=True)
     p.add_argument("--ground", required=True)
     p.add_argument("--model", choices=["seq", "par", "pimi"], required=True)
-    p.add_argument("--grid", required=True, help="start:stop:step budgets")
+    p.add_argument("--grid", required=True,
+                   help="step budgets: start:stop:step (inclusive) or comma list")
     p.add_argument("--threshold-fraction", type=float, default=0.999)
     p.add_argument("--epsilon", type=float, default=0.001)
     p.add_argument("--out", required=True)
@@ -95,7 +97,8 @@ def _add_mimo_ber(sub):
     p.add_argument("--nt", type=int, required=True)
     p.add_argument("--nr", type=int, required=True)
     p.add_argument("--qam", type=int, choices=[4, 16, 64], required=True)
-    p.add_argument("--ebn0", required=True, help="start:stop:step in dB, or comma list")
+    p.add_argument("--ebn0", required=True,
+                   help="Eb/N0 in dB: start:stop:step (inclusive) or comma list")
     p.add_argument("--scenarios", type=int, required=True)
     p.add_argument("--detector", action="append", required=True,
                    choices=["mmse"] + [k.value for k in SolverKind],
@@ -152,13 +155,6 @@ def _instance_files(in_dir: str) -> list[Path]:
     return files
 
 
-def _grid(spec: str) -> list[int]:
-    if ":" in spec:
-        start, stop, step = (int(v) for v in spec.split(":"))
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in spec.split(",")]
-
-
 def _cmd_generate(args) -> int:
     family = Family.MAXCUT_ER if args.family == "maxcut" else Family.SK_ONE
     stage_generate(family, [args.n], args.count, args.seed, Path(args.out),
@@ -197,7 +193,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ccts(args) -> int:
     landscape = stage_ccts(args.records, args.ground, CostModelKind(args.model),
-                           _grid(args.grid), Path(args.out),
+                           parse_sweep(args.grid), Path(args.out),
                            threshold_fraction=args.threshold_fraction,
                            epsilon=args.epsilon)
     return EXIT_OK if landscape.solved else EXIT_UNSOLVED
@@ -210,13 +206,8 @@ def _cmd_mimo_ber(args) -> int:
         configs[name] = DetectorConfig(
             kind=name, trials=args.trials, steps=args.steps,
             quantization=None if name == "mmse" else quant)
-    if ":" in args.ebn0:
-        start, stop, step = (float(v) for v in args.ebn0.split(":"))
-        values = list(np.arange(start, stop + 1e-9, step))
-    else:
-        values = [float(v) for v in args.ebn0.split(",")]
-    stage_mimo_ber(args.nt, args.nr, args.qam, values, args.scenarios,
-                   configs, args.seed, Path(args.out))
+    stage_mimo_ber(args.nt, args.nr, args.qam, parse_sweep(args.ebn0),
+                   args.scenarios, configs, args.seed, Path(args.out))
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Shared domain types: problem instances, spin states, schedules, trial records.
 
-Energies and local fields are always evaluated in full float64 precision,
-independently of any quantization applied inside a solver.
+Energies are always evaluated in full float64 precision, independently of
+any quantization applied inside a solver.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +22,6 @@ class ConfigError(ValueError):
 
 class DimensionError(ConfigError):
     """Raised when instance / state / schedule dimensions do not match."""
-
-
-class NotMaxCutError(ValueError):
-    """Raised when cut_value is applied to an instance that is not an
-    un-normalized unweighted Max-Cut mapping."""
 
 
 def as_spins(values: Sequence[float] | np.ndarray) -> SpinState:
@@ -147,19 +142,6 @@ class Schedule:
         beta.setflags(write=False)
         eta.setflags(write=False)
 
-    @classmethod
-    def from_functions(
-        cls,
-        kind: ScheduleKind,
-        beta_fn: Callable[[np.ndarray], np.ndarray],
-        eta_fn: Callable[[np.ndarray], np.ndarray],
-        xi: float,
-        t_steps: int,
-    ) -> "Schedule":
-        t = np.arange(t_steps, dtype=np.float64)
-        return cls(kind, np.asarray(beta_fn(t), dtype=np.float64),
-                   np.asarray(eta_fn(t), dtype=np.float64), float(xi), t_steps)
-
 
 @dataclass
 class TrialRecord:
@@ -179,17 +161,6 @@ class TrialRecord:
     improvements: list = field(default_factory=list)
     energy_trajectory: np.ndarray | None = None
     state_trajectory: np.ndarray | None = None  # (t_steps+1, n) int8, incl. init
-
-    def best_within(self, t_budget: int) -> float:
-        """Best energy over the first t_budget update steps (prefix min)."""
-        if t_budget < 1:
-            raise ValueError("step budget must be >= 1")
-        best = np.inf
-        for step, e in self.improvements:
-            if step >= t_budget:
-                break
-            best = e
-        return best
 
     def to_json_dict(self, keep_trajectory: bool = False,
                      keep_states: bool = False) -> dict:
@@ -227,40 +198,6 @@ def energy(inst: IsingInstance, s: SpinState) -> float:
     if s.shape != (inst.n,):
         raise DimensionError(f"state length {s.shape} != instance size {inst.n}")
     return float(-0.5 * (s @ (inst.j @ s)) - inst.h @ s)
-
-
-def energy_upper_triangle(inst: IsingInstance, s: SpinState) -> float:
-    """Reference i<j form of the energy (independent of the quadratic form)."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (inst.n,):
-        raise DimensionError(f"state length {s.shape} != instance size {inst.n}")
-    iu, ju = np.triu_indices(inst.n, k=1)
-    return float(-np.sum(inst.j[iu, ju] * s[iu] * s[ju]) - inst.h @ s)
-
-
-def local_fields(inst: IsingInstance, s: SpinState) -> np.ndarray:
-    """Raw local fields I_i = sum_j J_ij s_j + h_i (no solver-side scaling)."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (inst.n,):
-        raise DimensionError(f"state length {s.shape} != instance size {inst.n}")
-    return inst.j @ s + inst.h
-
-
-def cut_value(inst: IsingInstance, s: SpinState, edge_count: int) -> int:
-    """Number of cut edges for an un-normalized Max-Cut instance (J = -A).
-
-    cut = (|E| - H(s)) / 2; a non-integer result means the instance was not
-    a valid unweighted Max-Cut mapping.
-    """
-    h_val = energy(inst, s)
-    cut = (edge_count - h_val) / 2.0
-    rounded = round(cut)
-    if abs(cut - rounded) > 1e-9:
-        raise NotMaxCutError(
-            f"(|E| - H)/2 = {cut} is not an integer; instance is not an "
-            "unweighted Max-Cut mapping"
-        )
-    return int(rounded)
 
 
 def random_spins(n: int, rng: np.random.Generator) -> SpinState:

@@ -36,6 +36,7 @@ from .metrics import (
     log_space_std,
     neighbor_triggered_flip_rate,
     optimize_step_budget,
+    speedup,
     success_curve,
 )
 from .mimo import DetectorConfig, ber, gen_scenario
@@ -131,7 +132,7 @@ def parse_manifest_text(text: str, out_dir: str | None = None) -> ExperimentMani
         pairs[key] = value
 
     version = pairs.pop("schema_version", None)
-    if version is None or int(version) != 1:
+    if version is None or _convert("schema_version", version, int) != 1:
         raise ConfigError("manifest must declare schema_version = 1")
     family = pairs.pop("family", None)
     if family not in FAMILIES:
@@ -145,42 +146,62 @@ def parse_manifest_text(text: str, out_dir: str | None = None) -> ExperimentMani
     unknown = set(pairs) - _FAMILY_KEYS[family]
     if unknown:
         raise ConfigError(f"unknown manifest keys for {family}: {sorted(unknown)}")
-    return ExperimentManifest(family=family, seed=int(seed), out_dir=str(out),
-                              options=pairs)
+    return ExperimentManifest(family=family, seed=_convert("seed", seed, int),
+                              out_dir=str(out), options=pairs)
 
 
 def load_manifest(path) -> ExperimentManifest:
     return parse_manifest_text(Path(path).read_text())
 
 
+def _convert(key, raw, conv):
+    try:
+        return conv(raw)
+    except ValueError:
+        raise ConfigError(f"manifest key {key!r}: cannot read {raw!r} as "
+                          f"{conv.__name__}") from None
+
+
 def _opt_int(options, key, default):
-    return int(options.get(key, default))
+    return _convert(key, options[key], int) if key in options else default
 
 
 def _opt_float(options, key, default):
-    return float(options.get(key, default))
+    return _convert(key, options[key], float) if key in options else default
 
 
 def _opt_list(options, key, default, conv=str):
     raw = options.get(key, default)
-    if isinstance(raw, str):
-        return [conv(part.strip()) for part in raw.split(",") if part.strip()]
-    return [conv(v) for v in raw]
+    return [_convert(key, part.strip(), conv)
+            for part in raw.split(",") if part.strip()]
 
 
-def _float_grid(spec: str) -> list[float]:
-    """Parse "start:stop:step" (inclusive stop) or a comma list."""
-    if ":" in spec:
-        start, stop, step = (float(v) for v in spec.split(":"))
-        if step <= 0:
-            raise ConfigError("grid step must be positive")
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(round(v, 10))
-            v += step
-        return out
-    return [float(v) for v in spec.split(",")]
+def parse_sweep(spec: str) -> list[float]:
+    """Parse a sweep: "start:stop:step" with an inclusive stop, or a comma
+    list. This is the one grammar of the CLI's --grid and --ebn0 and of the
+    manifests' ebn0; anything malformed raises ConfigError."""
+    ranged = ":" in spec
+    try:
+        values = [float(part) for part in spec.split(":" if ranged else ",")]
+    except ValueError:
+        values = []
+    if (not values or not all(math.isfinite(v) for v in values)
+            or (ranged and len(values) != 3)):
+        raise ConfigError(f"sweep {spec!r} is neither start:stop:step nor a "
+                          "comma list of finite numbers")
+    if not ranged:
+        return values
+    start, stop, step = values
+    if step <= 0:
+        raise ConfigError(f"sweep {spec!r}: step must be positive")
+    if start > stop:
+        raise ConfigError(f"sweep {spec!r}: start exceeds stop")
+    out = []
+    v = start
+    while v <= stop + 1e-9:
+        out.append(round(v, 10))
+        v += step
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +311,13 @@ def stage_ccts(records_path, ground_path, model_kind: CostModelKind,
     for rec, extra in zip(records, extras):
         by_instance.setdefault(extra["instance"], []).append(rec)
 
+    t_max = min((e["t_steps"] for e in extras if "t_steps" in e),
+                default=math.inf)
+    for t in grid:
+        if t != int(t) or t < 1:
+            raise ConfigError(f"step budget {t:g} is not an integer >= 1")
+        if t > t_max:
+            raise ConfigError(f"step budget {t:g} exceeds the records' {t_max} steps")
     grid = [int(t) for t in grid]
     curves = []
     n = len(records[0].final_spins)
@@ -392,6 +420,8 @@ def _run_bench(manifest: ExperimentManifest, workers: int) -> int:
     solver_names = _opt_list(opts, "solvers", "pimi,conv-seq,conv-par")
     kinds = _parse_solvers(solver_names)
     grid_step = _opt_int(opts, "grid_step", 10)
+    if grid_step < 1:
+        raise ConfigError("grid_step must be >= 1")
     threshold_fraction = _opt_float(opts, "threshold_fraction", 0.999)
     epsilon = _opt_float(opts, "epsilon", 0.001)
     edge_prob = _opt_float(opts, "edge_prob", 0.5)
@@ -400,7 +430,8 @@ def _run_bench(manifest: ExperimentManifest, workers: int) -> int:
     inst_dir = out / "instances"
     default_method = (OracleMethod.LOCAL_SEARCH if family is Family.MAXCUT_ER
                       else OracleMethod.SIM_ANNEAL)
-    method = OracleMethod(opts.get("oracle", default_method.value))
+    method = _convert("oracle", opts.get("oracle", default_method.value),
+                      OracleMethod)
 
     status = EXIT_OK
     for n in sizes:
@@ -430,11 +461,11 @@ def _run_mimo_ber(manifest: ExperimentManifest, workers: int) -> int:
     nt = _opt_int(opts, "nt", 4)
     nr = _opt_int(opts, "nr", nt)
     qam = _opt_int(opts, "qam", 16)
-    ebn0_values = _float_grid(opts.get("ebn0", "0:4:24"))
+    ebn0_values = parse_sweep(opts.get("ebn0", "0:24:4"))
     n_scenarios = _opt_int(opts, "scenarios", 2000)
     detector_names = _opt_list(opts, "detectors", "mmse,pimi")
     trials = _opt_int(opts, "trials", 32)
-    steps = opts.get("steps")
+    steps = _opt_int(opts, "steps", None)
     quant = None
     if "quantized" in opts:
         quant = Quantization.parse(opts["quantized"],
@@ -444,8 +475,7 @@ def _run_mimo_ber(manifest: ExperimentManifest, workers: int) -> int:
     configs = {}
     for name in detector_names:
         configs[name] = DetectorConfig(
-            kind=name, trials=trials,
-            steps=None if steps is None else int(steps),
+            kind=name, trials=trials, steps=steps,
             quantization=None if name == "mmse" else quant)
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -593,7 +623,7 @@ def summarize(out_dir, report_path=None) -> str:
             a = solvers_here["conv-seq"]["optimum"]
             b = solvers_here["pimi"]["optimum"]
             if a and b:
-                ratio = a["ccts"] / b["ccts"]
+                ratio = speedup(a["ccts"], b["ccts"])
                 summary_rows.append({"n": n, "solver": "speedup-conv-seq/pimi",
                                      "p_final": None, "t_opt": None,
                                      "ccts_opt": ratio})

@@ -45,20 +45,6 @@ class SuccessCriterion:
         return self.threshold_fraction * self.ground_energy
 
 
-def success_probability(records: list[TrialRecord], criterion: SuccessCriterion,
-                        t_budget: int | None = None) -> float:
-    """Fraction of trials whose best energy within the budget is at or below
-    the threshold. All records must come from one instance."""
-    if not records:
-        raise ConfigError("success_probability needs at least one record")
-    theta = criterion.threshold
-    if t_budget is None:
-        hits = sum(rec.best_energy <= theta for rec in records)
-    else:
-        hits = sum(rec.best_within(t_budget) <= theta for rec in records)
-    return hits / len(records)
-
-
 def first_success_step(rec: TrialRecord, criterion: SuccessCriterion) -> int | None:
     """Earliest update step at which the trial's best-so-far energy reached
     the threshold, or None if it never did."""
@@ -81,13 +67,9 @@ def success_curve(records: list[TrialRecord], criterion: SuccessCriterion,
     return np.array([(solved & (hits < t)).mean() for t in grid])
 
 
-def n_trials_required(p_bar: float, epsilon: float = 0.001,
-                      real_valued: bool = False) -> float:
+def n_trials_required(p_bar: float, epsilon: float = 0.001) -> float:
     """Expected independent trials for >= 1 success with confidence
     1 - epsilon: ceil(log eps / log(1 - p)). p = 0 yields inf; p = 1 yields 1.
-
-    real_valued=True skips the ceiling (the form used when tracing the
-    landscape figures); the default applies it.
     """
     if not (0.0 <= p_bar <= 1.0):
         raise ConfigError("p_bar must lie in [0, 1]")
@@ -98,7 +80,7 @@ def n_trials_required(p_bar: float, epsilon: float = 0.001,
     if p_bar == 1.0:
         return 1.0
     n = math.log(epsilon) / math.log(1.0 - p_bar)
-    return n if real_valued else float(math.ceil(n - 1e-12))
+    return float(math.ceil(n - 1e-12))
 
 
 class CostModelKind(str, Enum):
@@ -136,16 +118,12 @@ class CostModel:
         return per_sweep
 
 
-def clock_cycles_per_step(model: CostModel, n: int) -> float:
-    return model.cycles_per_step(n)
-
-
 def ccts(p_bar: float, t_steps: int, model: CostModel, n: int,
-         epsilon: float = 0.001, real_valued: bool = False) -> float:
+         epsilon: float = 0.001) -> float:
     """Clock cycles to solution: n_trials(p_bar) * T_steps * C_step(N)."""
     if t_steps < 1:
         raise ConfigError("t_steps must be >= 1")
-    trials = n_trials_required(p_bar, epsilon, real_valued)
+    trials = n_trials_required(p_bar, epsilon)
     if math.isinf(trials):
         return math.inf
     return trials * t_steps * model.cycles_per_step(n)
@@ -187,8 +165,7 @@ class CctsLandscape:
 
 
 def optimize_step_budget(n: int, model: CostModel, grid, p_means,
-                         epsilon: float = 0.001, real_valued: bool = False,
-                         p_logstd=None) -> CctsLandscape:
+                         epsilon: float = 0.001, p_logstd=None) -> CctsLandscape:
     """Evaluate CCTS over the budget grid and locate the optimum (first
     minimizer wins ties, so ties break toward smaller budgets)."""
     grid = [int(t) for t in grid]
@@ -206,8 +183,8 @@ def optimize_step_budget(n: int, model: CostModel, grid, p_means,
     best_idx = None
     best_val = math.inf
     for idx, (t, p) in enumerate(zip(grid, p_means)):
-        trials = n_trials_required(p, epsilon, real_valued)
-        cost = ccts(p, t, model, n, epsilon, real_valued)
+        trials = n_trials_required(p, epsilon)
+        cost = ccts(p, t, model, n, epsilon)
         rows.append((t, p, trials, cost))
         if cost < best_val:
             best_val = cost

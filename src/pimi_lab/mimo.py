@@ -16,7 +16,7 @@ DiMimoProblem.energy adapter keeps that convention local to this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,7 +170,6 @@ class RealModel:
 
     h_real: np.ndarray
     y_real: np.ndarray
-    x_real: np.ndarray
 
 
 def real_stack_vector(z: np.ndarray) -> np.ndarray:
@@ -185,16 +184,13 @@ def complex_from_stack(v: np.ndarray) -> np.ndarray:
 def to_real(scenario: MimoScenario) -> RealModel:
     h = scenario.h_cplx
     h_real = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    return RealModel(h_real=h_real,
-                     y_real=real_stack_vector(scenario.y),
-                     x_real=real_stack_vector(scenario.x_true))
+    return RealModel(h_real=h_real, y_real=real_stack_vector(scenario.y))
 
 
 @dataclass
 class MmseResult:
     z_unsliced: np.ndarray       # linear estimate, complex
     symbols: np.ndarray          # hard-sliced detected symbols
-    x_m_unsliced: np.ndarray     # real stacked linear estimate
     x_m_sliced: np.ndarray       # real stacked sliced estimate
 
 
@@ -211,7 +207,6 @@ def mmse_detect(scenario: MimoScenario) -> MmseResult:
         z = np.linalg.solve(gram, h.conj().T @ scenario.y)
     symbols = slice_to_constellation(z, scenario.qam_order)
     return MmseResult(z_unsliced=z, symbols=symbols,
-                      x_m_unsliced=real_stack_vector(z),
                       x_m_sliced=real_stack_vector(symbols))
 
 
@@ -242,7 +237,6 @@ class DiMimoProblem:
     h: np.ndarray
     t_matrix: np.ndarray
     x_m: np.ndarray
-    residual: np.ndarray
     correction_set: tuple
     h_real: np.ndarray
     y_real: np.ndarray
@@ -270,12 +264,11 @@ class DiMimoProblem:
         return IsingInstance(n=self.n_spins, j=self.j, h=self.h, label=label)
 
 
-def build_dimimo(scenario: MimoScenario, x_m: np.ndarray,
-                 correction_set=None) -> DiMimoProblem:
+def build_dimimo(scenario: MimoScenario, x_m: np.ndarray) -> DiMimoProblem:
     """Map the residual-minimization around x_m onto spins:
-    J = -zerodiag(T' H' H T), h = 2 (y - H x_m)' H T. No auxiliary spins."""
-    if correction_set is None:
-        correction_set = default_correction_set(scenario.qam_order)
+    J = -zerodiag(T' H' H T), h = 2 (y - H x_m)' H T, with the QAM order's
+    default correction set. No auxiliary spins."""
+    correction_set = default_correction_set(scenario.qam_order)
     model = to_real(scenario)
     t = correction_transform(scenario.nt, correction_set)
     x_m = np.asarray(x_m, dtype=np.float64)
@@ -286,7 +279,7 @@ def build_dimimo(scenario: MimoScenario, x_m: np.ndarray,
     j = -(gram - np.diag(np.diag(gram)))
     residual = model.y_real - model.h_real @ x_m
     h_vec = 2.0 * (g.T @ residual)
-    return DiMimoProblem(j=j, h=h_vec, t_matrix=t, x_m=x_m, residual=residual,
+    return DiMimoProblem(j=j, h=h_vec, t_matrix=t, x_m=x_m,
                          correction_set=tuple(correction_set),
                          h_real=model.h_real, y_real=model.y_real)
 
@@ -317,21 +310,12 @@ def default_steps(kind: SolverKind, nt: int, m: int, n_spins: int) -> int:
 @dataclass
 class DetectorConfig:
     """Solver-backed detector settings. kind "mmse" short-circuits to the
-    linear baseline. steps=None resolves from the hardware step table.
-    use_sliced_anchor picks the sliced MMSE estimate as x_m (the default,
-    keeping corrections integer-valued); False uses the unsliced estimate.
-    init "anchor" starts every trial at the spin encoding of d = 0 (the
-    anchor itself), so exploration radiates from the linear estimate;
-    "random" uses independent random starts."""
+    linear baseline. steps=None resolves from the hardware step table."""
 
     kind: str = "pimi"
     trials: int = DEFAULT_TRIALS
     steps: int | None = None
-    correction_set: tuple | None = None
-    use_sliced_anchor: bool = True
-    init: str = "anchor"
     quantization: Quantization | None = None
-    schedule_overrides: dict = field(default_factory=dict)
 
     def solver_kind(self) -> SolverKind | None:
         if self.kind == "mmse":
@@ -347,7 +331,6 @@ class DetectionResult:
     mmse: MmseResult
     best_energy: float | None = None
     trial_energies: np.ndarray | None = None
-    problem: DiMimoProblem | None = None
 
     @property
     def bit_errors(self) -> int:
@@ -368,7 +351,11 @@ def detect(scenario: MimoScenario, config: DetectorConfig,
            base_seed: int = 0) -> DetectionResult:
     """Full detection of one scenario: MMSE anchor, perturbation-Ising
     refinement by the configured solver, minimum-energy selection,
-    reconstruction, hard slicing, and Gray decoding."""
+    reconstruction, hard slicing, and Gray decoding.
+
+    The anchor x_m is the sliced MMSE estimate, which keeps corrections
+    integer-valued, and every trial starts at the spin encoding of d = 0
+    (the anchor itself), so exploration radiates from the linear estimate."""
     mmse = mmse_detect(scenario)
     kind = config.solver_kind()
     if kind is None:
@@ -376,19 +363,12 @@ def detect(scenario: MimoScenario, config: DetectorConfig,
         return DetectionResult(bits=bits, symbols=mmse.symbols,
                                scenario=scenario, mmse=mmse)
 
-    x_m = mmse.x_m_sliced if config.use_sliced_anchor else mmse.x_m_unsliced
-    problem = build_dimimo(scenario, x_m, config.correction_set)
+    problem = build_dimimo(scenario, mmse.x_m_sliced)
     inst = problem.to_instance()
     steps = config.steps if config.steps is not None else default_steps(
         kind, scenario.nt, scenario.qam_order, problem.n_spins)
-    sched = schedule_for_solver(kind, "mimo", problem.n_spins, steps,
-                                config.schedule_overrides)
-    if config.init == "anchor":
-        init_state = zero_correction_spins(scenario.nt, problem.correction_set)
-    elif config.init == "random":
-        init_state = None
-    else:
-        raise ConfigError(f"unknown init mode {config.init!r}")
+    sched = schedule_for_solver(kind, "mimo", problem.n_spins, steps)
+    init_state = zero_correction_spins(scenario.nt, problem.correction_set)
     records = run_batch([inst], kind, sched, config.trials, base_seed,
                         workers=1, quantization=config.quantization,
                         init_state=init_state)[0]
@@ -400,7 +380,7 @@ def detect(scenario: MimoScenario, config: DetectorConfig,
     bits = symbols_to_bits(symbols, scenario.qam_order)
     return DetectionResult(bits=bits, symbols=symbols, scenario=scenario,
                            mmse=mmse, best_energy=float(energies[best]),
-                           trial_energies=energies, problem=problem)
+                           trial_energies=energies)
 
 
 def ber(scenarios, config: DetectorConfig, base_seed: int = 0) -> float:

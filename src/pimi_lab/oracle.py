@@ -34,11 +34,6 @@ class OracleResult:
     method: OracleMethod
     effort: dict = field(default_factory=dict)
 
-    @property
-    def certified(self) -> bool:
-        """Only exhaustive enumeration certifies a global minimum."""
-        return self.method is OracleMethod.EXHAUSTIVE
-
 
 def _block_energies(inst: IsingInstance, states: np.ndarray) -> np.ndarray:
     half_jst = states @ inst.j

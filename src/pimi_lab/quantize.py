@@ -59,11 +59,6 @@ class FixedPointFormat:
         except (ValueError, TypeError):
             raise ValueError(f"bad fixed-point format {name!r}; expected e.g. 'q16.4'")
 
-    def representable_values(self) -> np.ndarray:
-        """All representable values, ascending (2**total_bits of them)."""
-        ints = np.arange(-(2 ** (self.total_bits - 1)), 2 ** (self.total_bits - 1))
-        return ints * self.step
-
 
 def quantize(x, fmt: FixedPointFormat):
     """Truncate toward zero onto the format's grid, saturating at the range.

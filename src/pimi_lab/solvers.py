@@ -185,7 +185,7 @@ def make_schedule(kind: ScheduleKind, params: dict, t_steps: int) -> Schedule:
         eta = 1.0 / np.sqrt((t + 1.0) / 5.0)
         return Schedule(kind, beta, eta, 0.0, t_steps)
     raise ConfigError(f"make_schedule cannot build kind {kind!r}; "
-                      "build custom schedules with Schedule.from_functions")
+                      "construct custom schedules with Schedule directly")
 
 
 def schedule_for_solver(kind: SolverKind, family: str, n: int,

@@ -24,11 +24,9 @@ from pimi_lab.metrics import (
     CostModelKind,
     SuccessCriterion,
     ccts,
-    clock_cycles_per_step,
     n_trials_required,
     neighbor_triggered_flip_rate,
     success_curve,
-    success_probability,
 )
 from pimi_lab.mimo import (
     DetectorConfig,
@@ -48,6 +46,7 @@ from pimi_lab.solvers import (
     run_batch,
     schedule_for_solver,
 )
+from test_quantize import representable_values
 
 BENCH_SEED = 2026
 
@@ -85,7 +84,7 @@ def test_criterion_01_parallel_pathology_and_cure(pathology_archive):
     arch = pathology_archive
     means = {}
     for name, results in arch["runs"].items():
-        ps = [success_probability(recs, SuccessCriterion(g))
+        ps = [success_curve(recs, SuccessCriterion(g), [arch["t_steps"]])[0]
               for recs, g in zip(results, arch["grounds"])]
         means[name] = float(np.mean(ps))
     ok = (means["pimi"] >= 0.8 and means["conv-par"] <= 0.2
@@ -130,8 +129,8 @@ def test_criterion_02_oscillation_witness():
 
 def test_criterion_03_cost_models():
     t0 = time.perf_counter()
-    c_pimi = clock_cycles_per_step(CostModel(CostModelKind.PIMI), 200)
-    c_par = clock_cycles_per_step(CostModel(CostModelKind.PAR), 200)
+    c_pimi = CostModel(CostModelKind.PIMI).cycles_per_step(200)
+    c_par = CostModel(CostModelKind.PAR).cycles_per_step(200)
     c_seq_sweep = CostModel(CostModelKind.SEQ).cycles_per_sweep(200)
     seq_expected = 200 * math.log2(200) + 1600 + 4.67
     elapsed = time.perf_counter() - t0
@@ -222,7 +221,7 @@ def test_criterion_07_quantization_bit_exactness():
 
     mismatches = 0
     eps = 2.0 ** -20
-    for v in q42.representable_values():
+    for v in representable_values(q42):
         for x in (v - 0.126, v - eps, v, v + eps, v + 0.126, -v + eps):
             if quantize(float(x), q42) != _oracle_quantize(float(x), q42):
                 mismatches += 1
@@ -235,7 +234,7 @@ def test_criterion_07_quantization_bit_exactness():
             mismatches += 1
 
     lut = TanhLut(4)
-    sweep = q164.representable_values()
+    sweep = representable_values(q164)
     lut_got = lut_tanh(sweep, lut)
     lut_ref = np.array([_oracle_lut_tanh(float(x), 4) for x in sweep])
     lut_ok = np.array_equal(lut_got, lut_ref)

@@ -7,15 +7,11 @@ from pimi_lab.core import (
     ConfigError,
     DimensionError,
     IsingInstance,
-    NotMaxCutError,
     Schedule,
     ScheduleKind,
     TrialRecord,
     as_spins,
-    cut_value,
     energy,
-    energy_upper_triangle,
-    local_fields,
     random_spins,
     read_records_jsonl,
     write_records_jsonl,
@@ -25,6 +21,17 @@ from pimi_lab.core import (
 def k3_instance():
     a = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
     return IsingInstance(3, -a, np.zeros(3), "k3")
+
+
+def energy_upper_triangle(inst, s):
+    """Reference i<j form of the energy (independent of the quadratic form)."""
+    iu, ju = np.triu_indices(inst.n, k=1)
+    return float(-np.sum(inst.j[iu, ju] * s[iu] * s[ju]) - inst.h @ s)
+
+
+def local_fields(inst, s):
+    """Reference raw local fields I_i = sum_j J_ij s_j + h_i."""
+    return inst.j @ s + inst.h
 
 
 def random_instance(n, rng, with_bias=True):
@@ -126,8 +133,6 @@ class TestEnergy:
         inst = k3_instance()
         with pytest.raises(DimensionError):
             energy(inst, np.ones(4))
-        with pytest.raises(DimensionError):
-            local_fields(inst, np.ones(2))
 
 
 class TestLocalFields:
@@ -168,31 +173,6 @@ class TestLocalFields:
         assert np.allclose(local_fields(inst, s), ref, rtol=1e-13, atol=1e-13)
 
 
-class TestCutValue:
-    def test_k3_cut(self):
-        assert cut_value(k3_instance(), np.array([1.0, 1.0, -1.0]), 3) == 2
-
-    def test_uniform_state_cuts_nothing(self):
-        rng = np.random.default_rng(9)
-        a = (rng.random((6, 6)) < 0.5).astype(float)
-        a = np.triu(a, 1)
-        a = a + a.T
-        edges = int(a.sum() // 2)
-        inst = IsingInstance(6, -a, np.zeros(6))
-        assert cut_value(inst, np.ones(6), edges) == 0
-
-    def test_path_graph(self):
-        a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-        inst = IsingInstance(3, -a, np.zeros(3))
-        assert cut_value(inst, np.array([1.0, -1.0, 1.0]), 2) == 2
-
-    def test_non_maxcut_instance_rejected(self):
-        j = np.array([[0.0, 0.3], [0.3, 0.0]])
-        inst = IsingInstance(2, j, np.zeros(2))
-        with pytest.raises(NotMaxCutError):
-            cut_value(inst, np.array([1.0, -1.0]), 1)
-
-
 class TestSpinState:
     def test_rejects_zero_and_other_values(self):
         with pytest.raises(ValueError):
@@ -227,23 +207,8 @@ class TestSchedule:
         with pytest.raises(ConfigError, match="finite"):
             Schedule(ScheduleKind.CUSTOM, args["beta"], args["eta"], args["xi"], 3)
 
-    def test_from_functions(self):
-        sched = Schedule.from_functions(
-            ScheduleKind.CUSTOM, lambda t: 0.1 * (t + 1), lambda t: np.exp(-t), 0.3, 4)
-        assert sched.t_steps == 4
-        assert sched.beta[2] == pytest.approx(0.3)
-
 
 class TestTrialRecord:
-    def test_best_within_prefixes(self):
-        rec = TrialRecord(best_energy=-5.0, best_step=7,
-                          final_spins=as_spins([1, -1]), seed=1,
-                          improvements=[(0, -1.0), (3, -2.0), (7, -5.0)])
-        assert rec.best_within(1) == -1.0
-        assert rec.best_within(4) == -2.0
-        assert rec.best_within(7) == -2.0
-        assert rec.best_within(8) == -5.0
-
     def test_jsonl_roundtrip(self, tmp_path):
         recs = [
             TrialRecord(best_energy=-2.0, best_step=1, final_spins=as_spins([1, -1]),

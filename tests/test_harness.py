@@ -3,7 +3,10 @@ import json
 import math
 import subprocess
 import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pimi_lab.cli import main
 from pimi_lab.core import ConfigError
@@ -11,6 +14,7 @@ from pimi_lab.harness import (
     archive_hash,
     default_workers,
     parse_manifest_text,
+    parse_sweep,
     run_experiment,
     stage_ccts,
     stage_generate,
@@ -75,6 +79,100 @@ class TestManifest:
         monkeypatch.setenv("PIMI_LAB_WORKERS", "zero")
         with pytest.raises(ConfigError):
             default_workers()
+
+    @pytest.mark.parametrize("key, line", [
+        ("seed", "seed = x"),
+        ("schema_version", "schema_version = one"),
+        ("trials", "trials = abc"),
+        ("threshold_fraction", "threshold_fraction = high"),
+        ("sizes", "sizes = 8,nine"),
+        ("oracle", "oracle = guess"),
+        ("grid_step", "grid_step = 0"),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, key, line):
+        lines = [ln for ln in MANIFEST.splitlines()
+                 if not ln.startswith(key + " ")]
+        path = tmp_path / "bad.manifest"
+        path.write_text("\n".join(lines + [line, f"out = {tmp_path / 'run'}"]) + "\n")
+        assert main(["experiment", "--manifest", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+
+# well-formed tokens, and ones float() rejects or that are not finite
+_NUMBERS = st.integers(-50, 50).map(str) | st.sampled_from(["0.5", "-1e1", "2."])
+_NON_NUMBERS = st.sampled_from(["", "x", "1e", "--1", "0x10", "nan", "inf", "1 2"])
+
+
+@st.composite
+def malformed_sweeps(draw):
+    kind = draw(st.sampled_from(["parts", "non-number", "step", "reversed"]))
+    if kind == "parts":
+        parts = draw(st.lists(_NUMBERS, min_size=2, max_size=5)
+                     .filter(lambda p: len(p) != 3))
+        return ":".join(parts)
+    if kind == "non-number":
+        parts = draw(st.lists(_NUMBERS, max_size=3))
+        parts.insert(draw(st.integers(0, len(parts))), draw(_NON_NUMBERS))
+        return draw(st.sampled_from([":", ","])).join(parts)
+    start, stop = sorted(draw(st.lists(st.integers(-50, 50), min_size=2, max_size=2)))
+    if kind == "step":
+        return f"{start}:{stop}:{draw(st.sampled_from(['0', '-1', '-0.5', '0.0']))}"
+    return f"{stop + 1}:{start}:1"
+
+
+class TestSweepGrammar:
+    @pytest.mark.parametrize("spec, expected", [
+        ("50:150:50", [50.0, 100.0, 150.0]),
+        ("0:24:4", [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0]),
+        ("0:1:0.1", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+        ("10, 14", [10.0, 14.0]),
+        ("7", [7.0]),
+    ])
+    def test_values(self, spec, expected):
+        assert parse_sweep(spec) == expected
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("sweeps")
+
+    @given(spec=malformed_sweeps())
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_sweeps_exit_2(self, scratch, spec):
+        with pytest.raises(ConfigError):
+            parse_sweep(spec)
+        assert main(["ccts", "--records", str(scratch / "rec.jsonl"),
+                     "--ground", str(scratch / "gs.json"), "--model", "pimi",
+                     f"--grid={spec}", "--out", str(scratch / "l.csv")]) == 2
+        assert main(["mimo-ber", "--nt", "2", "--nr", "2", "--qam", "4",
+                     f"--ebn0={spec}", "--scenarios", "1", "--detector", "mmse",
+                     "--out", str(scratch / "ber.csv")]) == 2
+        assert not any(scratch.iterdir())
+
+    def test_cli_and_manifest_parse_one_spec_alike(self, tmp_path):
+        spec = "0:1:0.1"
+        assert main(["mimo-ber", "--nt", "2", "--nr", "2", "--qam", "4",
+                     "--ebn0", spec, "--scenarios", "1", "--detector", "mmse",
+                     "--out", str(tmp_path / "cli.csv")]) == 0
+        text = ("schema_version = 1\nfamily = mimo-ber\nseed = 0\n"
+                f"out = {tmp_path / 'run'}\nnt = 2\nqam = 4\nebn0 = {spec}\n"
+                "scenarios = 1\ndetectors = mmse\n")
+        assert run_experiment(parse_manifest_text(text)) == 0
+
+        def points(path):
+            with open(path, newline="") as f:
+                return [row["ebn0_db"] for row in csv.DictReader(f)]
+
+        assert points(tmp_path / "cli.csv") == points(tmp_path / "run" / "ber.csv")
+        assert points(tmp_path / "cli.csv") == [repr(v) for v in parse_sweep(spec)]
+
+    def test_default_ebn0_sweep_covers_0_to_24_db(self, tmp_path):
+        text = ("schema_version = 1\nfamily = mimo-ber\nseed = 0\n"
+                f"out = {tmp_path / 'run'}\nnt = 2\nqam = 4\n"
+                "scenarios = 1\ndetectors = mmse\n")
+        assert run_experiment(parse_manifest_text(text)) == 0
+        with open(tmp_path / "run" / "ber.csv", newline="") as f:
+            points = [float(row["ebn0_db"]) for row in csv.DictReader(f)]
+        assert points == [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0]
 
 
 class TestStages:
@@ -235,6 +333,19 @@ class TestCli:
                          "--out", str(tmp_path / "landscape.csv"))
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "landscape.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["5:40:5", "0:20:5", "2.5,10"])
+    def test_ccts_budget_out_of_range_exit_code(self, tmp_path, capsys, grid):
+        paths = stage_generate(Family.MAXCUT_ER, [6], 1, 2, tmp_path / "inst")
+        stage_oracle(paths, OracleMethod.EXHAUSTIVE, tmp_path / "gs.json")
+        stage_solve(paths, SolverKind.PIMI, "maxcut", 20, 4, 3,
+                    tmp_path / "rec.jsonl")
+        code = main(["ccts", "--records", str(tmp_path / "rec.jsonl"),
+                     "--ground", str(tmp_path / "gs.json"), "--model", "pimi",
+                     "--grid", grid, "--out", str(tmp_path / "l.csv")])
+        assert code == 2
+        assert "step budget" in capsys.readouterr().err
+        assert not (tmp_path / "l.csv").exists()
 
     def test_invalid_config_exit_code(self, tmp_path):
         r = self.run_cli("oracle", "--method", "exhaustive",

@@ -10,7 +10,6 @@ from pimi_lab.metrics import (
     CostModelKind,
     SuccessCriterion,
     ccts,
-    clock_cycles_per_step,
     first_success_step,
     log_space_std,
     n_trials_required,
@@ -18,7 +17,6 @@ from pimi_lab.metrics import (
     optimize_step_budget,
     speedup,
     success_curve,
-    success_probability,
     wall_clock,
 )
 
@@ -46,7 +44,7 @@ class TestSuccessProbability:
     def test_all_at_ground(self):
         crit = SuccessCriterion(-10.0)
         recs = [record([(0, -10.0)]) for _ in range(8)]
-        assert success_probability(recs, crit) == 1.0
+        assert success_curve(recs, crit, [1])[0] == 1.0
 
     def test_fraction_and_budget(self):
         crit = SuccessCriterion(-10.0)
@@ -56,13 +54,13 @@ class TestSuccessProbability:
             record([(2, -9.995)]),    # below threshold -> hit
             record([(1, -3.0)]),
         ]
-        assert success_probability(recs, crit) == 0.5
+        assert success_curve(recs, crit, [6])[0] == 0.5
         # within a 3-step budget the step-5 improvement does not count
-        assert success_probability(recs, crit, t_budget=3) == 0.25
+        assert success_curve(recs, crit, [3])[0] == 0.25
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            success_probability([], SuccessCriterion(-1.0))
+            success_curve([], SuccessCriterion(-1.0), [1])
 
     def test_success_curve_monotone(self):
         crit = SuccessCriterion(-10.0)
@@ -86,9 +84,6 @@ class TestNTrials:
         assert n_trials_required(0.999) == 1
         assert n_trials_required(0.0) == math.inf
 
-    def test_real_valued_variant(self):
-        assert n_trials_required(0.5, real_valued=True) == pytest.approx(9.96578, abs=1e-4)
-
     def test_monotone_in_p(self):
         ps = np.linspace(0.01, 0.99, 50)
         ns = [n_trials_required(p) for p in ps]
@@ -106,11 +101,11 @@ class TestNTrials:
 class TestCostModels:
     def test_pimi_at_200(self):
         model = CostModel(CostModelKind.PIMI)
-        assert clock_cycles_per_step(model, 200) == pytest.approx(17.01, abs=0.01)
+        assert model.cycles_per_step(200) == pytest.approx(17.01, abs=0.01)
 
     def test_par_at_200(self):
         model = CostModel(CostModelKind.PAR)
-        assert clock_cycles_per_step(model, 200) == pytest.approx(15.41, abs=0.01)
+        assert model.cycles_per_step(200) == pytest.approx(15.41, abs=0.01)
 
     def test_seq_per_sweep(self):
         model = CostModel(CostModelKind.SEQ)

@@ -307,11 +307,6 @@ class TestDetect:
         res = detect(sc, DetectorConfig(kind="pimi", trials=16, steps=32), base_seed=2)
         assert res.best_energy == res.trial_energies.min()
 
-    def test_unknown_init_mode_rejected(self):
-        sc = gen_scenario(2, 2, 4, 10.0, 1)
-        with pytest.raises(ConfigError):
-            detect(sc, DetectorConfig(kind="pimi", init="warm"))
-
     def test_ber_improves_with_snr(self):
         lo = [gen_scenario(4, 4, 4, 0.0, 3000 + i) for i in range(150)]
         hi = [gen_scenario(4, 4, 4, 12.0, 3000 + i) for i in range(150)]

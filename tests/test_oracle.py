@@ -4,6 +4,7 @@ import pytest
 from pimi_lab.core import ConfigError, IsingInstance, energy
 from pimi_lab.instances import Family, GeneratorSpec, gen_maxcut, gen_sk1
 from pimi_lab.oracle import (
+    OracleMethod,
     default_bls_effort,
     default_sa_flips_per_temp,
     exhaustive,
@@ -86,7 +87,7 @@ class TestExhaustive:
     def test_k3(self):
         res = exhaustive(k3())
         assert res.best_energy == -1.0
-        assert res.certified
+        assert res.method is OracleMethod.EXHAUSTIVE
 
     def test_two_spin_ferromagnet(self):
         inst = IsingInstance(2, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
