@@ -2,8 +2,8 @@
 generate / oracle / solve / ccts / mimo-ber / flip-rate / report stages,
 plus `experiment` to run a whole manifest.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
-4 unsolved landscape.
+Exit codes: 0 success, 2 invalid configuration, 3 numeric failure (a singular
+linear solve), 4 unsolved landscape.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .harness import (
     EXIT_OK,
     EXIT_UNSOLVED,
     default_workers,
+    detector_configs,
     load_manifest,
     parse_sweep,
     run_experiment,
@@ -35,14 +36,14 @@ from .harness import (
 )
 from .instances import Family
 from .metrics import CostModelKind
-from .mimo import DetectorConfig
+from .mimo import SUPPORTED_QAM_ORDERS
 from .oracle import OracleMethod
 from .solvers import Quantization, SolverKind
 
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="generate benchmark instances")
-    p.add_argument("--family", choices=["maxcut", "sk1"], required=True)
+    p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -52,7 +53,8 @@ def _add_generate(sub):
 
 def _add_oracle(sub):
     p = sub.add_parser("oracle", help="compute ground-truth energies")
-    p.add_argument("--method", choices=["exhaustive", "sa", "bls"], required=True)
+    p.add_argument("--method", choices=[m.value for m in OracleMethod],
+                   required=True)
     p.add_argument("--in", dest="in_dir", required=True,
                    help="directory of instance JSON files")
     p.add_argument("--out", required=True, help="gs.json output path")
@@ -84,7 +86,8 @@ def _add_ccts(sub):
     p = sub.add_parser("ccts", help="cycles-to-solution landscape from records")
     p.add_argument("--records", required=True)
     p.add_argument("--ground", required=True)
-    p.add_argument("--model", choices=["seq", "par", "pimi"], required=True)
+    p.add_argument("--model", choices=[k.value for k in CostModelKind],
+                   required=True)
     p.add_argument("--grid", required=True,
                    help="step budgets: start:stop:step (inclusive) or comma list")
     p.add_argument("--threshold-fraction", type=float, default=0.999)
@@ -96,7 +99,7 @@ def _add_mimo_ber(sub):
     p = sub.add_parser("mimo-ber", help="detection BER sweep")
     p.add_argument("--nt", type=int, required=True)
     p.add_argument("--nr", type=int, required=True)
-    p.add_argument("--qam", type=int, choices=[4, 16, 64], required=True)
+    p.add_argument("--qam", type=int, choices=SUPPORTED_QAM_ORDERS, required=True)
     p.add_argument("--ebn0", required=True,
                    help="Eb/N0 in dB: start:stop:step (inclusive) or comma list")
     p.add_argument("--scenarios", type=int, required=True)
@@ -156,9 +159,8 @@ def _instance_files(in_dir: str) -> list[Path]:
 
 
 def _cmd_generate(args) -> int:
-    family = Family.MAXCUT_ER if args.family == "maxcut" else Family.SK_ONE
-    stage_generate(family, [args.n], args.count, args.seed, Path(args.out),
-                   edge_prob=args.edge_prob)
+    stage_generate(Family(args.family), [args.n], args.count, args.seed,
+                   Path(args.out), edge_prob=args.edge_prob)
     return EXIT_OK
 
 
@@ -201,11 +203,7 @@ def _cmd_ccts(args) -> int:
 
 def _cmd_mimo_ber(args) -> int:
     quant = Quantization.parse(args.quantized, args.tanh_levels) if args.quantized else None
-    configs = {}
-    for name in args.detector:
-        configs[name] = DetectorConfig(
-            kind=name, trials=args.trials, steps=args.steps,
-            quantization=None if name == "mmse" else quant)
+    configs = detector_configs(args.detector, args.trials, args.steps, quant)
     stage_mimo_ber(args.nt, args.nr, args.qam, parse_sweep(args.ebn0),
                    args.scenarios, configs, args.seed, Path(args.out))
     return EXIT_OK
@@ -247,7 +245,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from . import __version__
 from .core import (
     ConfigError,
     IsingInstance,
+    Schedule,
+    ScheduleKind,
     read_records_jsonl,
     write_records_jsonl,
 )
@@ -34,13 +37,15 @@ from .metrics import (
     CostModelKind,
     SuccessCriterion,
     log_space_std,
+    n_trials_required,
     neighbor_triggered_flip_rate,
     optimize_step_budget,
     speedup,
     success_curve,
 )
-from .mimo import DetectorConfig, ber, gen_scenario
+from .mimo import DetectorConfig, ber, bits_per_symbol, gen_scenario
 from .oracle import OracleMethod, solve_ground_truth
+from .quantize import FixedPointFormat, TanhLut
 from .solvers import (
     Quantization,
     SolverKind,
@@ -55,8 +60,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_UNSOLVED = 4
-
-FAMILIES = ("maxcut-bench", "sk-bench", "mimo-ber", "flip-rate")
 
 _COST_MODEL_FOR_SOLVER = {
     SolverKind.CONV_SEQUENTIAL: CostModelKind.SEQ,
@@ -78,20 +81,6 @@ def default_workers() -> int:
 
 # ---------------------------------------------------------------------------
 # Manifest parsing (plain-text key = value, schema version 1)
-
-_COMMON_KEYS = {"schema_version", "family", "seed", "out"}
-_FAMILY_KEYS = {
-    "maxcut-bench": {"sizes", "instances", "trials", "steps_per_spin", "solvers",
-                     "oracle", "grid_step", "threshold_fraction", "epsilon",
-                     "edge_prob"},
-    "sk-bench": {"sizes", "instances", "trials", "steps_per_spin", "solvers",
-                 "oracle", "grid_step", "threshold_fraction", "epsilon"},
-    "mimo-ber": {"nt", "nr", "qam", "ebn0", "scenarios", "detectors", "trials",
-                 "steps", "quantized", "tanh_levels"},
-    "flip-rate": {"problem", "n", "instance_seed", "trials", "steps", "xi",
-                  "beta", "eta"},
-}
-
 
 @dataclass
 class ExperimentManifest:
@@ -117,6 +106,8 @@ class ExperimentManifest:
 
 
 def parse_manifest_text(text: str, out_dir: str | None = None) -> ExperimentManifest:
+    """Parse and check a manifest: every option is read with its family's
+    reader here, so a malformed value fails before any stage runs."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -132,48 +123,24 @@ def parse_manifest_text(text: str, out_dir: str | None = None) -> ExperimentMani
         pairs[key] = value
 
     version = pairs.pop("schema_version", None)
-    if version is None or _convert("schema_version", version, int) != 1:
+    if version is None or _read("schema_version", int, version) != 1:
         raise ConfigError("manifest must declare schema_version = 1")
     family = pairs.pop("family", None)
-    if family not in FAMILIES:
-        raise ConfigError(f"family must be one of {FAMILIES}, got {family!r}")
+    if family not in _SCHEMA:
+        raise ConfigError(f"family must be one of {tuple(_SCHEMA)}, got {family!r}")
     seed = pairs.pop("seed", None)
     if seed is None:
         raise ConfigError("manifest must declare a seed")
     out = pairs.pop("out", out_dir)
     if out is None:
         raise ConfigError("manifest must declare out = <directory> (or pass one)")
-    unknown = set(pairs) - _FAMILY_KEYS[family]
-    if unknown:
-        raise ConfigError(f"unknown manifest keys for {family}: {sorted(unknown)}")
-    return ExperimentManifest(family=family, seed=_convert("seed", seed, int),
+    _read_options(family, pairs)
+    return ExperimentManifest(family=family, seed=_read("seed", _seed, seed),
                               out_dir=str(out), options=pairs)
 
 
 def load_manifest(path) -> ExperimentManifest:
     return parse_manifest_text(Path(path).read_text())
-
-
-def _convert(key, raw, conv):
-    try:
-        return conv(raw)
-    except ValueError:
-        raise ConfigError(f"manifest key {key!r}: cannot read {raw!r} as "
-                          f"{conv.__name__}") from None
-
-
-def _opt_int(options, key, default):
-    return _convert(key, options[key], int) if key in options else default
-
-
-def _opt_float(options, key, default):
-    return _convert(key, options[key], float) if key in options else default
-
-
-def _opt_list(options, key, default, conv=str):
-    raw = options.get(key, default)
-    return [_convert(key, part.strip(), conv)
-            for part in raw.split(",") if part.strip()]
 
 
 def parse_sweep(spec: str) -> list[float]:
@@ -202,6 +169,103 @@ def parse_sweep(spec: str) -> list[float]:
         out.append(round(v, 10))
         v += step
     return out
+
+
+def _integer(low: int):
+    def read(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}")
+        return value
+    return read
+
+
+_count, _seed = _integer(1), _integer(0)
+
+
+def _real(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _qam(raw: str) -> int:
+    bits_per_symbol(int(raw))
+    return int(raw)
+
+
+def _list_of(reader):
+    def read(raw: str) -> list:
+        parts = [part.strip() for part in raw.split(",")]
+        if not all(parts):
+            raise ValueError("expected a comma list of non-empty items")
+        return [reader(part) for part in parts]
+    return read
+
+
+# Every key a family accepts, as key -> (reader, default). A default is
+# read like a given value. A None default stays None unless given: the
+# runner resolves it (mimo-ber nr = nt, flip-rate steps = 100 n and
+# instance_seed = seed), or it means off (quantized) or the detector's own
+# step table (mimo-ber steps).
+_BENCH_KEYS = {
+    "sizes": (_list_of(_count), "10,20"),
+    "instances": (_count, "20"),
+    "trials": (_count, "256"),
+    "steps_per_spin": (_count, "100"),
+    "solvers": (_list_of(SolverKind), "pimi,conv-seq,conv-par"),
+    "grid_step": (_count, "10"),
+    "threshold_fraction": (_real, "0.999"),
+    "epsilon": (_real, "0.001"),
+}
+_SCHEMA = {
+    "maxcut-bench": {**_BENCH_KEYS, "oracle": (OracleMethod, "bls"),
+                     "edge_prob": (_real, "0.5")},
+    "sk-bench": {**_BENCH_KEYS, "oracle": (OracleMethod, "sa")},
+    "mimo-ber": {
+        "nt": (_count, "4"),
+        "nr": (_count, None),
+        "qam": (_qam, "16"),
+        "ebn0": (parse_sweep, "0:24:4"),
+        "scenarios": (_count, "2000"),
+        "detectors": (_list_of(lambda raw: raw if raw == "mmse"
+                               else SolverKind(raw).value), "mmse,pimi"),
+        "trials": (_count, "32"),
+        "steps": (_count, None),
+        "quantized": (FixedPointFormat.parse, None),
+        "tanh_levels": (lambda raw: TanhLut(int(raw)), "4"),
+    },
+    "flip-rate": {
+        "problem": (Family, "sk1"),
+        "n": (_count, "50"),
+        "instance_seed": (_seed, None),
+        "trials": (_count, "64"),
+        "steps": (_count, None),
+        "xi": (_list_of(_real), "0.0,0.9"),
+        # giving beta or eta swaps the annealed schedule for constant drive
+        "beta": (_real, "2.0"),
+        "eta": (_real, "0.1"),
+    },
+}
+
+
+def _read(key: str, reader, raw: str | None):
+    try:
+        return None if raw is None else reader(raw)
+    except ValueError as exc:
+        raise ConfigError(f"manifest key {key!r}: cannot read {raw!r}: {exc}") from None
+
+
+def _read_options(family: str, options: dict) -> dict:
+    """Typed value of every key of the family, given or default; raises
+    ConfigError naming the first unknown or unreadable key."""
+    schema = _SCHEMA[family]
+    unknown = set(options) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown manifest keys for {family}: {sorted(unknown)}")
+    return {key: _read(key, reader, options.get(key, default))
+            for key, (reader, default) in schema.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +426,7 @@ def stage_flip_rate(records_path, instance_path, out_path: Path) -> np.ndarray:
 
 
 def stage_mimo_ber(nt: int, nr: int, qam: int, ebn0_values, n_scenarios: int,
-                   detector_configs: dict, base_seed: int, out_path: Path) -> list:
+                   configs: dict, base_seed: int, out_path: Path) -> list:
     """BER sweep; CSV columns (ebn0_db, ber, scenario_count, detector)."""
     rows = []
     for ebn0 in ebn0_values:
@@ -370,7 +434,7 @@ def stage_mimo_ber(nt: int, nr: int, qam: int, ebn0_values, n_scenarios: int,
             [int(base_seed), int(round(ebn0 * 1000))])
         seeds = scen_seed_root.generate_state(n_scenarios, np.uint64)
         scenarios = [gen_scenario(nt, nr, qam, float(ebn0), int(s)) for s in seeds]
-        for name, config in detector_configs.items():
+        for name, config in configs.items():
             value = ber(scenarios, config, base_seed=base_seed)
             rows.append((float(ebn0), value, n_scenarios, name))
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -386,16 +450,6 @@ def stage_mimo_ber(nt: int, nr: int, qam: int, ebn0_values, n_scenarios: int,
 # Experiment families
 
 
-def _parse_solvers(names, what: str = "solver kind") -> list[SolverKind]:
-    kinds = []
-    for name in names:
-        try:
-            kinds.append(SolverKind(name))
-        except ValueError:
-            raise ConfigError(f"unknown {what} {name!r}") from None
-    return kinds
-
-
 def _write_stamp(manifest: ExperimentManifest, out_dir: Path, status: int):
     stamp = {
         "manifest_hash": manifest.content_hash(),
@@ -409,118 +463,82 @@ def _write_stamp(manifest: ExperimentManifest, out_dir: Path, status: int):
         f.write("\n")
 
 
-def _run_bench(manifest: ExperimentManifest, workers: int) -> int:
-    opts = manifest.options
-    family = Family.MAXCUT_ER if manifest.family == "maxcut-bench" else Family.SK_ONE
-    family_name = "maxcut" if family is Family.MAXCUT_ER else "sk1"
-    sizes = _opt_list(opts, "sizes", "10,20", int)
-    count = _opt_int(opts, "instances", 20)
-    trials = _opt_int(opts, "trials", 256)
-    steps_per_spin = _opt_int(opts, "steps_per_spin", 100)
-    solver_names = _opt_list(opts, "solvers", "pimi,conv-seq,conv-par")
-    kinds = _parse_solvers(solver_names)
-    grid_step = _opt_int(opts, "grid_step", 10)
-    if grid_step < 1:
-        raise ConfigError("grid_step must be >= 1")
-    threshold_fraction = _opt_float(opts, "threshold_fraction", 0.999)
-    epsilon = _opt_float(opts, "epsilon", 0.001)
-    edge_prob = _opt_float(opts, "edge_prob", 0.5)
+def detector_configs(names, trials: int, steps: int | None,
+                     quantization: Quantization | None) -> dict:
+    """One DetectorConfig per detector name, in order; mmse is unquantized."""
+    return {name: DetectorConfig(kind=name, trials=trials, steps=steps,
+                                 quantization=None if name == "mmse" else quantization)
+            for name in names}
+
+
+def _run_bench(family: Family, manifest: ExperimentManifest, opts: dict,
+               workers: int) -> int:
+    edge_prob = opts.get("edge_prob", 0.5)  # sk-bench draws no edges
+    for n in opts["sizes"]:  # the domain types' checks, before any write
+        GeneratorSpec(family, n, manifest.seed, edge_prob=edge_prob)
+    SuccessCriterion(-1.0, opts["threshold_fraction"])
+    n_trials_required(1.0, opts["epsilon"])
 
     out = Path(manifest.out_dir)
-    inst_dir = out / "instances"
-    default_method = (OracleMethod.LOCAL_SEARCH if family is Family.MAXCUT_ER
-                      else OracleMethod.SIM_ANNEAL)
-    method = _convert("oracle", opts.get("oracle", default_method.value),
-                      OracleMethod)
-
     status = EXIT_OK
-    for n in sizes:
-        paths = stage_generate(family, [n], count, manifest.seed, inst_dir,
-                               edge_prob=edge_prob)
+    for n in opts["sizes"]:
+        paths = stage_generate(family, [n], opts["instances"], manifest.seed,
+                               out / "instances", edge_prob=edge_prob)
         gs_path = out / f"gs_n{n}.json"
-        stage_oracle(paths, method, gs_path, seed=manifest.seed)
-        t_steps = steps_per_spin * n
-        grid = list(range(grid_step, t_steps + 1, grid_step))
-        for kind, name in zip(kinds, solver_names):
-            records_path = out / f"records_{name}_n{n}.jsonl"
-            stage_solve(paths, kind, family_name, t_steps, trials,
+        stage_oracle(paths, opts["oracle"], gs_path, seed=manifest.seed)
+        t_steps = opts["steps_per_spin"] * n
+        grid = list(range(opts["grid_step"], t_steps + 1, opts["grid_step"]))
+        for kind in opts["solvers"]:
+            records_path = out / f"records_{kind.value}_n{n}.jsonl"
+            stage_solve(paths, kind, family.value, t_steps, opts["trials"],
                         manifest.seed, records_path, workers=workers)
-            landscape_path = out / f"landscape_{name}_n{n}.csv"
             landscape = stage_ccts(records_path, gs_path,
                                    _COST_MODEL_FOR_SOLVER[kind], grid,
-                                   landscape_path,
-                                   threshold_fraction=threshold_fraction,
-                                   epsilon=epsilon)
+                                   out / f"landscape_{kind.value}_n{n}.csv",
+                                   threshold_fraction=opts["threshold_fraction"],
+                                   epsilon=opts["epsilon"])
             if not landscape.solved:
                 status = EXIT_UNSOLVED
     return status
 
 
-def _run_mimo_ber(manifest: ExperimentManifest, workers: int) -> int:
-    opts = manifest.options
-    nt = _opt_int(opts, "nt", 4)
-    nr = _opt_int(opts, "nr", nt)
-    qam = _opt_int(opts, "qam", 16)
-    ebn0_values = parse_sweep(opts.get("ebn0", "0:24:4"))
-    n_scenarios = _opt_int(opts, "scenarios", 2000)
-    detector_names = _opt_list(opts, "detectors", "mmse,pimi")
-    trials = _opt_int(opts, "trials", 32)
-    steps = _opt_int(opts, "steps", None)
-    quant = None
-    if "quantized" in opts:
-        quant = Quantization.parse(opts["quantized"],
-                                   _opt_int(opts, "tanh_levels", 4))
-    _parse_solvers([name for name in detector_names if name != "mmse"],
-                   "detector")
-    configs = {}
-    for name in detector_names:
-        configs[name] = DetectorConfig(
-            kind=name, trials=trials, steps=steps,
-            quantization=None if name == "mmse" else quant)
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stage_mimo_ber(nt, nr, qam, ebn0_values, n_scenarios, configs,
-                   manifest.seed, out / "ber.csv")
+def _run_mimo_ber(manifest: ExperimentManifest, opts: dict, workers: int) -> int:
+    quant = (Quantization(opts["quantized"], opts["tanh_levels"])
+             if opts["quantized"] else None)
+    configs = detector_configs(opts["detectors"], opts["trials"], opts["steps"],
+                               quant)
+    stage_mimo_ber(opts["nt"], opts["nr"] or opts["nt"], opts["qam"],
+                   opts["ebn0"], opts["scenarios"], configs, manifest.seed,
+                   Path(manifest.out_dir) / "ber.csv")
     return EXIT_OK
 
 
-def _run_flip_rate(manifest: ExperimentManifest, workers: int) -> int:
-    opts = manifest.options
-    problem = opts.get("problem", "sk1")
-    if problem not in ("sk1", "maxcut"):
-        raise ConfigError("flip-rate problem must be sk1 or maxcut")
-    family = Family.SK_ONE if problem == "sk1" else Family.MAXCUT_ER
-    n = _opt_int(opts, "n", 50)
-    trials = _opt_int(opts, "trials", 64)
-    steps = _opt_int(opts, "steps", 100 * n)
-    xis = _opt_list(opts, "xi", "0.0,0.9", float)
+def _run_flip_rate(manifest: ExperimentManifest, opts: dict, workers: int) -> int:
+    family, n, xis = opts["problem"], opts["n"], opts["xi"]
+    steps = opts["steps"] or 100 * n
+    GeneratorSpec(family, n, 0)  # rejects n < 2
+    if "beta" in manifest.options or "eta" in manifest.options:
+        # fixed-drive diagnostic: constant beta and eta
+        scheds = [Schedule(ScheduleKind.CUSTOM, np.full(steps, opts["beta"]),
+                           np.full(steps, opts["eta"]), xi, steps) for xi in xis]
+    else:
+        # default: the family's annealed run schedule with xi overridden
+        scheds = [schedule_for_solver(SolverKind.PIMI, family.value, n, steps,
+                                      {"xi": xi}) for xi in xis]
 
     out = Path(manifest.out_dir)
-    inst_dir = out / "instances"
-    paths = stage_generate(family, [n],
-                           1, _opt_int(opts, "instance_seed", manifest.seed),
-                           inst_dir)
+    instance_seed = opts["instance_seed"]
+    paths = stage_generate(family, [n], 1,
+                           manifest.seed if instance_seed is None else instance_seed,
+                           out / "instances")
     inst = IsingInstance.load(paths[0])
-    from .core import Schedule, ScheduleKind
-
     summary_rows = []
-    for xi in xis:
-        if "beta" in opts or "eta" in opts:
-            # fixed-drive diagnostic: constant beta and eta
-            beta = _opt_float(opts, "beta", 2.0)
-            eta = _opt_float(opts, "eta", 0.1)
-            sched = Schedule(ScheduleKind.CUSTOM, np.full(steps, beta),
-                             np.full(steps, eta), xi, steps)
-        else:
-            # default: the family's annealed run schedule with xi overridden
-            sched = schedule_for_solver(SolverKind.PIMI, problem, n, steps,
-                                        {"xi": xi})
-        recs = run_batch([inst], SolverKind.PIMI, sched, trials, manifest.seed,
-                         workers=workers, record_states=True)[0]
+    for xi, sched in zip(xis, scheds):
+        recs = run_batch([inst], SolverKind.PIMI, sched, opts["trials"],
+                         manifest.seed, workers=workers, record_states=True)[0]
         records_path = out / f"traj_xi{xi}.jsonl"
         write_records_jsonl(records_path, recs, keep_states=True)
-        pnt_path = out / f"pnt_xi{xi}.csv"
-        pnt = stage_flip_rate(records_path, paths[0], pnt_path)
+        pnt = stage_flip_rate(records_path, paths[0], out / f"pnt_xi{xi}.csv")
         summary_rows.append((xi, float(np.nanmean(pnt))))
     with open(out / "pnt_summary.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -530,17 +548,23 @@ def _run_flip_rate(manifest: ExperimentManifest, workers: int) -> int:
     return EXIT_OK
 
 
+_RUNNERS = {
+    "maxcut-bench": partial(_run_bench, Family.MAXCUT_ER),
+    "sk-bench": partial(_run_bench, Family.SK_ONE),
+    "mimo-ber": _run_mimo_ber,
+    "flip-rate": _run_flip_rate,
+}
+
+
 def run_experiment(manifest: ExperimentManifest, workers: int = 1) -> int:
     """Execute the manifest's pipeline; returns a process exit status.
-    Outputs land in manifest.out_dir together with a reproducibility stamp."""
+    Outputs land in manifest.out_dir together with a reproducibility stamp.
+    Each runner makes the domain types' checks (instance sizes, edge_prob,
+    threshold_fraction, epsilon, schedules) before its first write, so a
+    manifest that fails a check writes nothing."""
+    opts = _read_options(manifest.family, manifest.options)
+    status = _RUNNERS[manifest.family](manifest, opts, workers)
     out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if manifest.family in ("maxcut-bench", "sk-bench"):
-        status = _run_bench(manifest, workers)
-    elif manifest.family == "mimo-ber":
-        status = _run_mimo_ber(manifest, workers)
-    else:
-        status = _run_flip_rate(manifest, workers)
     (out / "manifest.txt").write_text(manifest.canonical_text())
     _write_stamp(manifest, out, status)
     return status

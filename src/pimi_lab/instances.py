@@ -32,6 +32,8 @@ class GeneratorSpec:
     edge_prob: float = 0.5
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ConfigError(f"instance size n must be >= 2, got {self.n}")
         if self.family is Family.MAXCUT_ER and not (0.0 < self.edge_prob < 1.0):
             raise ConfigError("edge_prob must lie strictly between 0 and 1")
 
@@ -51,8 +53,6 @@ def gen_maxcut(spec: GeneratorSpec):
     """
     if spec.family is not Family.MAXCUT_ER:
         raise ConfigError("spec family must be maxcut")
-    if spec.n < 2:
-        raise ConfigError("Max-Cut generation needs n >= 2")
     rng = np.random.default_rng(spec.seed)
     n_pairs = spec.n * (spec.n - 1) // 2
     edges = (rng.random(n_pairs) < spec.edge_prob).astype(float)
@@ -74,8 +74,6 @@ def gen_sk1(spec: GeneratorSpec) -> IsingInstance:
     """
     if spec.family is not Family.SK_ONE:
         raise ConfigError("spec family must be sk1")
-    if spec.n < 2:
-        raise ConfigError("SK-1 generation needs n >= 2")
     rng = np.random.default_rng(spec.seed)
     n_pairs = spec.n * (spec.n - 1) // 2
     couplings = rng.integers(0, 2, n_pairs).astype(float) * 2.0 - 1.0

@@ -19,6 +19,7 @@ reproducible for any `workers`.
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,11 +47,6 @@ class SolverKind(str, Enum):
     PIMI = "pimi"
 
 
-class NoiseDist(str, Enum):
-    UNIFORM_PM1 = "uniform"
-    STD_NORMAL = "normal"
-
-
 @dataclass(frozen=True)
 class Quantization:
     """Fixed-point format plus tanh LUT used by the quantized solver path."""
@@ -66,13 +62,6 @@ class Quantization:
             raise ConfigError(str(exc)) from exc
 
 
-def default_noise_distribution(kind: SolverKind) -> NoiseDist:
-    """Conventional dynamics draw U(-1,1); inertial dynamics draw N(0,1)."""
-    if kind is SolverKind.PIMI:
-        return NoiseDist.STD_NORMAL
-    return NoiseDist.UNIFORM_PM1
-
-
 def _sign_pm1(z):
     return np.where(np.asarray(z) >= 0.0, 1.0, -1.0)
 
@@ -81,29 +70,22 @@ def _sign_pm1(z):
 # Schedules
 
 
-def _load_default_params() -> dict:
+@functools.cache
+def _schedule_defaults() -> dict:
+    """The shipped defaults file, read once; callers copy what they hand out."""
     text = resources.files("pimi_lab").joinpath("schedule_defaults.json").read_text()
     return json.loads(text)
 
 
-_DEFAULTS_CACHE: dict | None = None
-
-
 def schedule_defaults_version() -> int:
-    global _DEFAULTS_CACHE
-    if _DEFAULTS_CACHE is None:
-        _DEFAULTS_CACHE = _load_default_params()
-    return int(_DEFAULTS_CACHE["version"])
+    return int(_schedule_defaults()["version"])
 
 
 def default_schedule_params(kind: ScheduleKind, family: str | None = None,
                             n: int | None = None) -> dict:
     """Shipped default parameters for a schedule kind, resolved per problem
     family and size bucket (smallest n_max >= n wins; n_max null is open)."""
-    global _DEFAULTS_CACHE
-    if _DEFAULTS_CACHE is None:
-        _DEFAULTS_CACHE = _load_default_params()
-    table = _DEFAULTS_CACHE.get(kind.value)
+    table = _schedule_defaults().get(kind.value)
     if table is None:
         raise ConfigError(f"no defaults for schedule kind {kind.value!r}")
     if isinstance(table, dict):
@@ -279,12 +261,6 @@ def trial_setup(n: int, trial_seed: int):
     return init, np.random.default_rng(noise_seed)
 
 
-def _draw_noise(rng: np.random.Generator, dist: NoiseDist, shape) -> np.ndarray:
-    if dist is NoiseDist.UNIFORM_PM1:
-        return rng.uniform(-1.0, 1.0, shape)
-    return rng.standard_normal(shape)
-
-
 _BLOCK_TRIALS = 64
 _BLOCK_NOISE_BYTES = 128 * 1024 * 1024
 
@@ -312,7 +288,6 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
     T = sched.t_steps
     B = len(trial_indices)
     seq = kind is SolverKind.CONV_SEQUENTIAL
-    dist = default_noise_distribution(kind)
 
     seeds = [derive_trial_seed(base_seed, instance_index, k) for k in trial_indices]
     inits = np.empty((B, n))
@@ -321,7 +296,11 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
     for b, ts in enumerate(seeds):
         init, rng = trial_setup(n, ts)
         inits[b] = init if init_state is None else init_state
-        draws[:, b] = _draw_noise(rng, dist, shape)
+        # inertial dynamics draw N(0,1), conventional ones U(-1,1)
+        if kind is SolverKind.PIMI:
+            draws[:, b] = rng.standard_normal(shape)
+        else:
+            draws[:, b] = rng.uniform(-1.0, 1.0, shape)
 
     S = inits.copy()
     j_raw = inst.j
@@ -411,8 +390,8 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
     Trials are grouped into fixed-size blocks and the block tasks are
     consumed from a shared queue by the worker pool; per-trial seeds are
     derived from (base_seed, instance index, trial index), so the result
-    set is independent of scheduling. Conventional kinds draw U(-1,1)
-    noise and pimi draws N(0,1) (`default_noise_distribution`).
+    set is independent of scheduling. Each trial draws its whole noise
+    stream up front: U(-1,1) for the conventional kinds, N(0,1) for pimi.
 
     The trajectories hold the full-precision energy of the state after each
     update step (the initial state is not part of the trajectory), and

@@ -42,6 +42,25 @@ grid_step = 50
 """
 
 
+# one small manifest per family; each runs to exit 0 or 4 as written
+_GOOD_MANIFESTS = {
+    "maxcut-bench": MANIFEST + "edge_prob = 0.5\n",
+    "sk-bench": MANIFEST.replace("maxcut-bench", "sk-bench"),
+    "mimo-ber": "schema_version = 1\nfamily = mimo-ber\nseed = 5\nnt = 2\nqam = 4\n"
+                "ebn0 = 4\nscenarios = 2\ndetectors = mmse,pimi\ntrials = 4\n"
+                "steps = 8\nquantized = q16.4\ntanh_levels = 4\n",
+    "flip-rate": "schema_version = 1\nfamily = flip-rate\nseed = 9\nproblem = maxcut\n"
+                 "n = 8\ntrials = 4\nsteps = 20\nxi = 0.0,0.9\neta = 0.1\n",
+}
+
+
+def _bad(family, key, line):
+    # maxcut-bench cases keep their bare "key-line" ids, which are older
+    # than the other families' cases
+    prefix = "" if family == "maxcut-bench" else f"{family}-"
+    return pytest.param(family, key, line, id=f"{prefix}{key}-{line}")
+
+
 class TestManifest:
     def test_parse_round_trip(self):
         m = parse_manifest_text(MANIFEST + "out = /tmp/x\n")
@@ -80,22 +99,53 @@ class TestManifest:
         with pytest.raises(ConfigError):
             default_workers()
 
-    @pytest.mark.parametrize("key, line", [
-        ("seed", "seed = x"),
-        ("schema_version", "schema_version = one"),
-        ("trials", "trials = abc"),
-        ("threshold_fraction", "threshold_fraction = high"),
-        ("sizes", "sizes = 8,nine"),
-        ("oracle", "oracle = guess"),
-        ("grid_step", "grid_step = 0"),
+    @pytest.mark.parametrize("family", sorted(_GOOD_MANIFESTS))
+    def test_good_manifests_run(self, tmp_path, family):
+        text = _GOOD_MANIFESTS[family] + f"out = {tmp_path / 'run'}\n"
+        assert run_experiment(parse_manifest_text(text)) in (0, 4)
+        assert (tmp_path / "run" / "stamp.json").exists()
+
+    @pytest.mark.parametrize("family, key, line", [
+        _bad(family, key, line) for family, key, line in [
+            ("maxcut-bench", "seed", "seed = x"),
+            ("maxcut-bench", "schema_version", "schema_version = one"),
+            ("maxcut-bench", "trials", "trials = abc"),
+            ("maxcut-bench", "threshold_fraction", "threshold_fraction = high"),
+            ("maxcut-bench", "sizes", "sizes = 8,nine"),
+            ("maxcut-bench", "oracle", "oracle = guess"),
+            ("maxcut-bench", "grid_step", "grid_step = 0"),
+            ("maxcut-bench", "trials", "trials = 0"),
+            ("maxcut-bench", "steps_per_spin", "steps_per_spin = 0"),
+            ("maxcut-bench", "instances", "instances = 0"),
+            ("maxcut-bench", "sizes", "sizes = ,"),
+            ("maxcut-bench", "solvers", "solvers = ,"),
+            ("maxcut-bench", "seed", "seed = -1"),
+            ("maxcut-bench", "edge_prob", "edge_prob = 1.5"),
+            ("maxcut-bench", "threshold_fraction", "threshold_fraction = 2"),
+            ("maxcut-bench", "epsilon", "epsilon = 1"),
+            ("sk-bench", "trials", "trials = 0"),
+            ("sk-bench", "oracle", "oracle = guess"),
+            ("mimo-ber", "detectors", "detectors = ,"),
+            ("mimo-ber", "ebn0", "ebn0 = 1:0:1"),
+            ("mimo-ber", "qam", "qam = 5"),
+            ("mimo-ber", "quantized", "quantized = q16"),
+            ("mimo-ber", "tanh_levels", "tanh_levels = 1"),
+            ("flip-rate", "trials", "trials = 0"),
+            ("flip-rate", "xi", "xi = ,"),
+            ("flip-rate", "xi", "xi = 0.0,-1"),
+            ("flip-rate", "eta", "eta = -1"),
+            ("flip-rate", "problem", "problem = ising"),
+        ]
     ])
-    def test_malformed_value_exit_code(self, tmp_path, capsys, key, line):
-        lines = [ln for ln in MANIFEST.splitlines()
+    def test_malformed_value_exit_code(self, tmp_path, capsys, family, key, line):
+        lines = [ln for ln in _GOOD_MANIFESTS[family].splitlines()
                  if not ln.startswith(key + " ")]
         path = tmp_path / "bad.manifest"
-        path.write_text("\n".join(lines + [line, f"out = {tmp_path / 'run'}"]) + "\n")
+        out = tmp_path / "run"
+        path.write_text("\n".join(lines + [line, f"out = {out}"]) + "\n")
         assert main(["experiment", "--manifest", str(path)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 # well-formed tokens, and ones float() rejects or that are not finite
@@ -253,9 +303,9 @@ class TestExperiments:
         "scenarios = 4\ndetectors = mmse,bogus\n",
     ], ids=["solvers", "detectors"])
     def test_unknown_solver_name_rejected(self, tmp_path, text):
-        m = parse_manifest_text(text + f"out = {tmp_path / 'run'}\n")
         with pytest.raises(ConfigError, match="bogus"):
-            run_experiment(m, workers=1)
+            run_experiment(parse_manifest_text(text + f"out = {tmp_path / 'run'}\n"),
+                           workers=1)
 
     def test_mimo_ber_family(self, tmp_path):
         text = (
@@ -387,6 +437,16 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "rec.jsonl").exists()
+
+    def test_singular_mmse_exit_code(self, tmp_path, capsys):
+        # one receive antenna for four streams, at a regularisation far below
+        # rounding, leaves the MMSE Gram matrix singular
+        code = main(["mimo-ber", "--nt", "4", "--nr", "1", "--qam", "4",
+                     "--ebn0", "300", "--scenarios", "20", "--detector", "mmse",
+                     "--out", str(tmp_path / "ber.csv")])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
 
     def test_quantized_solve_cli(self, tmp_path):
         inst = tmp_path / "inst"

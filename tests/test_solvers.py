@@ -13,10 +13,8 @@ from pimi_lab.core import (
 )
 from pimi_lab.instances import Family, GeneratorSpec, gen_maxcut, gen_sk1
 from pimi_lab.solvers import (
-    NoiseDist,
     Quantization,
     SolverKind,
-    default_noise_distribution,
     default_schedule_params,
     derive_trial_seed,
     make_schedule,
@@ -218,11 +216,6 @@ class TestRunTrial:
         records = run_batch([inst], SolverKind.PIMI, sched, 256, base_seed=100)[0]
         hits = sum(rec.best_energy <= -1.0 for rec in records)
         assert hits >= 250
-
-    def test_default_noise_distributions(self):
-        assert default_noise_distribution(SolverKind.PIMI) is NoiseDist.STD_NORMAL
-        assert default_noise_distribution(SolverKind.CONV_SEQUENTIAL) is NoiseDist.UNIFORM_PM1
-        assert default_noise_distribution(SolverKind.CONV_PARALLEL) is NoiseDist.UNIFORM_PM1
 
 
 class TestNoiseSource:
