@@ -44,7 +44,7 @@ from .metrics import (
     success_curve,
 )
 from .mimo import DetectorConfig, ber, bits_per_symbol, gen_scenario
-from .oracle import OracleMethod, solve_ground_truth
+from .oracle import EXHAUSTIVE_MAX_N, OracleMethod, solve_ground_truth
 from .quantize import FixedPointFormat, TanhLut
 from .solvers import (
     Quantization,
@@ -474,8 +474,17 @@ def detector_configs(names, trials: int, steps: int | None,
 def _run_bench(family: Family, manifest: ExperimentManifest, opts: dict,
                workers: int) -> int:
     edge_prob = opts.get("edge_prob", 0.5)  # sk-bench draws no edges
-    for n in opts["sizes"]:  # the domain types' checks, before any write
+    grid_step = opts["grid_step"]
+    grids = {}
+    for n in opts["sizes"]:  # domain and cross-key checks, before any write
         GeneratorSpec(family, n, manifest.seed, edge_prob=edge_prob)
+        if opts["oracle"] is OracleMethod.EXHAUSTIVE and n > EXHAUSTIVE_MAX_N:
+            raise ConfigError(f"sizes: n = {n} is above N = {EXHAUSTIVE_MAX_N}, "
+                              "the largest the exhaustive oracle solves")
+        grids[n] = list(range(grid_step, opts["steps_per_spin"] * n + 1, grid_step))
+        if len(grids[n]) < 2:
+            raise ConfigError(f"grid_step = {grid_step} leaves fewer than 2 step "
+                              f"budgets up to steps_per_spin * {n}")
     SuccessCriterion(-1.0, opts["threshold_fraction"])
     n_trials_required(1.0, opts["epsilon"])
 
@@ -487,13 +496,12 @@ def _run_bench(family: Family, manifest: ExperimentManifest, opts: dict,
         gs_path = out / f"gs_n{n}.json"
         stage_oracle(paths, opts["oracle"], gs_path, seed=manifest.seed)
         t_steps = opts["steps_per_spin"] * n
-        grid = list(range(opts["grid_step"], t_steps + 1, opts["grid_step"]))
         for kind in opts["solvers"]:
             records_path = out / f"records_{kind.value}_n{n}.jsonl"
             stage_solve(paths, kind, family.value, t_steps, opts["trials"],
                         manifest.seed, records_path, workers=workers)
             landscape = stage_ccts(records_path, gs_path,
-                                   _COST_MODEL_FOR_SOLVER[kind], grid,
+                                   _COST_MODEL_FOR_SOLVER[kind], grids[n],
                                    out / f"landscape_{kind.value}_n{n}.csv",
                                    threshold_fraction=opts["threshold_fraction"],
                                    epsilon=opts["epsilon"])

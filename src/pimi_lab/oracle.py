@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ConfigError, IsingInstance, SpinState
 
-_EXHAUSTIVE_MAX_N = 24
+EXHAUSTIVE_MAX_N = 24
 _ENUM_BLOCK = 1 << 16
 _SA_WINDOW = 64  # upcoming proposals scored per chain in one pass
 
@@ -44,9 +44,9 @@ def exhaustive(inst: IsingInstance) -> OracleResult:
     """Certified minimum by scanning all states (s_0 fixed to +1 when h = 0,
     using the global flip symmetry). Rejected above N = 24."""
     n = inst.n
-    if n > _EXHAUSTIVE_MAX_N:
+    if n > EXHAUSTIVE_MAX_N:
         raise ConfigError(
-            f"exhaustive enumeration is limited to N <= {_EXHAUSTIVE_MAX_N}; "
+            f"exhaustive enumeration is limited to N <= {EXHAUSTIVE_MAX_N}; "
             "use the simulated-annealing or local-search oracle instead"
         )
     symmetric = not np.any(inst.h)

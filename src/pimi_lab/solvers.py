@@ -11,10 +11,10 @@ sign(0) is +1, fixed. In quantized mode every arithmetic intermediate is
 truncated to the fixed-point grid and tanh goes through the lookup table;
 recorded energies always use the raw couplings in full precision.
 
-`run_batch` is the one engine: it runs trials in fixed-size vectorized
-blocks (grouped trials, as the hardware kernels do); block boundaries depend
-only on problem shape, never on the worker count, so results are
-reproducible for any `workers`.
+`run_batch` is the one engine: it runs trials in vectorized blocks of 64
+(grouped trials, as the hardware kernels do) whatever the problem shape;
+block boundaries depend only on the trial count, never on the worker count,
+so results are reproducible for any `workers`.
 """
 
 from __future__ import annotations
@@ -262,13 +262,31 @@ def trial_setup(n: int, trial_seed: int):
 
 
 _BLOCK_TRIALS = 64
-_BLOCK_NOISE_BYTES = 128 * 1024 * 1024
+_NOISE_CHUNK_BYTES = 4 * 1024 * 1024  # a block's noise buffer, refilled every chunk
 
 
-def _block_size(t_steps: int, n: int, parallel_kind: bool) -> int:
-    per_trial = t_steps * (n if parallel_kind else 1) * 8
-    cap = max(1, _BLOCK_NOISE_BYTES // max(per_trial, 1))
-    return int(min(_BLOCK_TRIALS, cap))
+def _best_so_far(energies: np.ndarray) -> list[tuple[float, int, list]]:
+    """(best_energy, best_step, improvements) of every trial, read in one
+    pass from the (T, trials) energy array. Step t improves when its energy
+    is strictly below every earlier one, so best_step is the first step at
+    the minimum; a NaN energy never improves, and a trial that never
+    improves keeps best_energy inf and best_step -1."""
+    # floor[t] is the lowest energy before step t: inf before step 0
+    floor = np.empty((energies.shape[0] + 1, energies.shape[1]))
+    floor[0] = np.inf
+    floor[1:] = energies
+    np.fmin.accumulate(floor, axis=0, out=floor)
+    improved = energies < floor[:-1]
+    out = []
+    for b in range(energies.shape[1]):
+        steps = np.flatnonzero(improved[:, b])
+        if steps.size == 0:
+            out.append((np.inf, -1, []))
+            continue
+        values = energies[steps, b]
+        out.append((float(values[-1]), int(steps[-1]),
+                    list(zip(steps.tolist(), values.tolist()))))
+    return out
 
 
 def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
@@ -282,97 +300,114 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
     (base_seed, instance_index, trial index); the arithmetic is grouped
     across trials. `init_state`, when given, replaces every trial's random
     initial spins with the same fixed configuration (noise streams stay
-    per-trial).
+    per-trial). Noise is drawn a chunk of steps at a time from each trial's
+    generator, which gives the same stream as one whole-run draw.
     """
     n = inst.n
     T = sched.t_steps
     B = len(trial_indices)
     seq = kind is SolverKind.CONV_SEQUENTIAL
+    with_inertia = kind is SolverKind.PIMI
 
     seeds = [derive_trial_seed(base_seed, instance_index, k) for k in trial_indices]
-    inits = np.empty((B, n))
-    shape = (T,) if seq else (T, n)
-    draws = np.empty((T, B) + shape[1:])
+    S = np.empty((B, n))
+    rngs = []
     for b, ts in enumerate(seeds):
         init, rng = trial_setup(n, ts)
-        inits[b] = init if init_state is None else init_state
-        # inertial dynamics draw N(0,1), conventional ones U(-1,1)
-        if kind is SolverKind.PIMI:
-            draws[:, b] = rng.standard_normal(shape)
-        else:
-            draws[:, b] = rng.uniform(-1.0, 1.0, shape)
+        S[b] = init if init_state is None else init_state
+        rngs.append(rng)
 
-    S = inits.copy()
+    # one draw per step for conv-seq, one per spin and step otherwise
+    width = () if seq else (n,)
+    chunk = max(1, min(T, _NOISE_CHUNK_BYTES // (8 * B * (1 if seq else n))))
+    noise = np.empty((B, chunk) + width)
+
+    def draws(t: int) -> np.ndarray:
+        c = t % chunk
+        if c == 0:
+            m = min(chunk, T - t)
+            for b, rng in enumerate(rngs):
+                # inertial dynamics draw N(0,1), conventional ones U(-1,1)
+                if with_inertia:
+                    rng.standard_normal(out=noise[b, :m])
+                else:
+                    noise[b, :m] = rng.uniform(-1.0, 1.0, (m,) + width)
+        return noise[:, c]
+
     j_raw = inst.j
     h = inst.h
     scale = inst.field_scale
     qt = _quantized_tables(inst, sched, quantization) if quantization else None
     beta, eta, xi = sched.beta, sched.eta, sched.xi
 
-    traj = np.empty((T, B)) if record_trajectory else None
+    # energies[t] is the full-precision energy after step t
+    energies = np.empty((T, B))
     states = np.empty((T + 1, B, n), dtype=np.int8) if record_states else None
     if states is not None:
         states[0] = S
-    improvements: list[list] = [[] for _ in range(B)]
-    best = np.full(B, np.inf)
-    best_step = np.full(B, -1, dtype=np.int64)
-
-    def note(t_idx: int, e: np.ndarray):
-        if traj is not None:
-            traj[t_idx] = e
-        improved = e < best
-        if improved.any():
-            for b in np.nonzero(improved)[0]:
-                improvements[b].append((t_idx, float(e[b])))
-            best[improved] = e[improved]
-            best_step[improved] = t_idx
 
     if seq:
-        h_cur = -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h
+        prev = -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h
         for t in range(T):
             i = t % n
+            s_i = S[:, i]
             acc_i = S @ j_raw[i]
             if qt is None:
-                z = np.tanh(beta[t] * (scale * acc_i + h[i])) + eta[t] * draws[t]
+                z = np.tanh(beta[t] * (scale * acc_i + h[i])) + eta[t] * draws(t)
                 new = _sign_pm1(z)
             else:
-                new = _quantized_update(S @ qt.jq[i], qt.hq[i], S[:, i], t, qt,
-                                        draws[t], with_inertia=False)
-            flipped = new != S[:, i]
-            h_cur = h_cur + np.where(flipped, 2.0 * S[:, i] * (acc_i + h[i]), 0.0)
+                new = _quantized_update(S @ qt.jq[i], qt.hq[i], s_i, t, qt,
+                                        draws(t), with_inertia=False)
+            np.add(prev, np.where(new != s_i, 2.0 * s_i * (acc_i + h[i]), 0.0),
+                   out=energies[t])
+            prev = energies[t]
             S[:, i] = new
             if states is not None:
                 states[t + 1] = S
-            note(t, h_cur)
     else:
-        with_inertia = kind is SolverKind.PIMI
+        acc = np.empty((B, n))
+        z = np.empty((B, n))
+        term = np.empty((B, n))
+        up = np.empty((B, n), dtype=bool)
         for t in range(T):
             if qt is None:
-                acc = S @ j_raw
+                np.matmul(S, j_raw, out=acc)
                 if t > 0:
-                    note(t - 1, -0.5 * np.einsum("bn,bn->b", S, acc) - S @ h)
-                z = np.tanh(beta[t] * (scale * acc + h))
+                    energies[t - 1] = -0.5 * np.einsum("bn,bn->b", S, acc) - S @ h
+                # z = tanh(beta (scale acc + h)) [+ xi S] + eta draw, in place
+                np.multiply(acc, scale, out=z)
+                z += h
+                z *= beta[t]
+                np.tanh(z, out=z)
                 if with_inertia:
-                    z = z + xi * S
-                S = _sign_pm1(z + eta[t] * draws[t])
+                    np.multiply(S, xi, out=term)
+                    z += term
+                np.multiply(draws(t), eta[t], out=term)
+                z += term
+                # sign with sign(0) = +1
+                np.greater_equal(z, 0.0, out=up)
+                np.copyto(S, up)
+                S *= 2.0
+                S -= 1.0
             else:
                 if t > 0:
-                    note(t - 1, -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h)
-                S = _quantized_update(S @ qt.jq, qt.hq, S, t, qt, draws[t],
+                    energies[t - 1] = (-0.5 * np.einsum("bn,bn->b", S, S @ j_raw)
+                                       - S @ h)
+                S = _quantized_update(S @ qt.jq, qt.hq, S, t, qt, draws(t),
                                       with_inertia)
             if states is not None:
                 states[t + 1] = S
-        note(T - 1, -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h)
+        energies[T - 1] = -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h
 
     records = []
-    for b in range(B):
+    for b, (best, best_step, improvements) in enumerate(_best_so_far(energies)):
         records.append(TrialRecord(
-            best_energy=float(best[b]),
-            best_step=int(best_step[b]),
+            best_energy=best,
+            best_step=best_step,
             final_spins=S[b].copy(),
             seed=seeds[b],
-            improvements=improvements[b],
-            energy_trajectory=traj[:, b].copy() if traj is not None else None,
+            improvements=improvements,
+            energy_trajectory=energies[:, b].copy() if record_trajectory else None,
             state_trajectory=states[:, b, :].copy() if states is not None else None,
         ))
     return records
@@ -390,8 +425,10 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
     Trials are grouped into fixed-size blocks and the block tasks are
     consumed from a shared queue by the worker pool; per-trial seeds are
     derived from (base_seed, instance index, trial index), so the result
-    set is independent of scheduling. Each trial draws its whole noise
-    stream up front: U(-1,1) for the conventional kinds, N(0,1) for pimi.
+    set is independent of scheduling. Each trial's noise stream, U(-1,1)
+    for the conventional kinds and N(0,1) for pimi, is drawn a chunk of
+    steps at a time into a buffer of a few MiB per block; the chunks join
+    up to the stream one whole-run draw gives.
 
     The trajectories hold the full-precision energy of the state after each
     update step (the initial state is not part of the trajectory), and
@@ -415,8 +452,7 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
                     f"initial state of shape {init_state.shape} does not "
                     f"match instance size {inst.n}")
 
-    block = _block_size(sched.t_steps, instances[0].n,
-                        kind is not SolverKind.CONV_SEQUENTIAL)
+    block = _BLOCK_TRIALS
     tasks = []
     for i_idx, inst in enumerate(instances):
         for start in range(0, n_trials, block):

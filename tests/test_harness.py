@@ -123,6 +123,10 @@ class TestManifest:
             ("maxcut-bench", "edge_prob", "edge_prob = 1.5"),
             ("maxcut-bench", "threshold_fraction", "threshold_fraction = 2"),
             ("maxcut-bench", "epsilon", "epsilon = 1"),
+            # sizes = 8 and steps_per_spin = 25: one budget, 150, up to 200
+            ("maxcut-bench", "grid_step", "grid_step = 150"),
+            # oracle = exhaustive, which stops at N = 24
+            ("maxcut-bench", "sizes", "sizes = 6,26"),
             ("sk-bench", "trials", "trials = 0"),
             ("sk-bench", "oracle", "oracle = guess"),
             ("mimo-ber", "detectors", "detectors = ,"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pimi_lab import solvers
 from pimi_lab.core import (
     ConfigError,
     DimensionError,
@@ -350,6 +351,74 @@ class TestRunBatch:
                 assert np.array_equal(rec.state_trajectory, states)
                 assert np.array_equal(rec.final_spins, states[-1])
                 assert np.array_equal(rec.energy_trajectory, energies)
+
+    @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
+                                      SolverKind.CONV_SEQUENTIAL])
+    def test_noise_chunks_match_whole_run_draws(self, monkeypatch, kind):
+        # a noise buffer of 40 steps: a 150-step run refills it at steps 40,
+        # 80 and 120 and ends on a partial chunk of 30 steps
+        n, trials, t_steps = 9, 3, 150
+        width = 1 if kind is SolverKind.CONV_SEQUENTIAL else n
+        monkeypatch.setattr(solvers, "_NOISE_CHUNK_BYTES", 40 * 8 * trials * width)
+        inst = gen_sk1(GeneratorSpec(Family.SK_ONE, n, 4))
+        sched = schedule_for_solver(kind, "sk1", n, t_steps)
+        for quantization, quant in ((None, None),
+                                    (Quantization.parse("q8.3", 4), (8, 3, 4))):
+            batch = run_batch([inst], kind, sched, trials, base_seed=12,
+                              quantization=quantization,
+                              record_trajectory=True, record_states=True)[0]
+            for t_idx, rec in enumerate(batch):
+                init, draws = trial_noise(kind, n, t_steps,
+                                          derive_trial_seed(12, 0, t_idx))
+                states, energies = reference_trial(inst, kind, sched, init, draws,
+                                                   quant=quant)
+                assert np.array_equal(rec.state_trajectory, states)
+                assert np.array_equal(rec.final_spins, states[-1])
+                assert np.array_equal(rec.energy_trajectory, energies)
+                assert rec.improvements == improvements_of(energies)
+
+    @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
+                                      SolverKind.CONV_SEQUENTIAL])
+    def test_records_independent_of_block_partition(self, monkeypatch, kind):
+        inst, _ = gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 12, 3))
+        sched = schedule_for_solver(kind, "maxcut", 12, 600)
+
+        def run():
+            return run_batch([inst], kind, sched, 37, base_seed=6,
+                             record_trajectory=True, record_states=True)[0]
+
+        default = run()
+        for block in (4, 16):
+            monkeypatch.setattr(solvers, "_BLOCK_TRIALS", block)
+            for a, b in zip(default, run(), strict=True):
+                assert a.best_energy == b.best_energy
+                assert a.best_step == b.best_step
+                assert a.seed == b.seed
+                assert a.improvements == b.improvements
+                assert np.array_equal(a.final_spins, b.final_spins)
+                assert np.array_equal(a.energy_trajectory, b.energy_trajectory)
+                assert np.array_equal(a.state_trajectory, b.state_trajectory)
+        # trials that settle revisit their minimum; best_step is its first step
+        revisits = 0
+        for rec in default:
+            traj = rec.energy_trajectory
+            revisits += int(np.count_nonzero(traj == traj.min()) > 1)
+            assert rec.best_step == int(np.argmin(traj))
+            assert rec.best_energy == traj.min()
+            assert rec.improvements == improvements_of(traj)
+        assert revisits > 0
+
+    def test_best_step_is_first_visit_of_minimum(self):
+        # the conv-par ferromagnet oscillates between two states of energy +1,
+        # so every step reaches the minimum and only step 0 improves
+        sched = const_schedule(1e6, 0.0, 0.0, 6)
+        rec = run_batch([ferromagnet2()], SolverKind.CONV_PARALLEL, sched, 1,
+                        base_seed=0, init_state=[1.0, -1.0],
+                        record_trajectory=True)[0][0]
+        assert np.array_equal(rec.energy_trajectory, np.ones(6))
+        assert rec.best_step == 0
+        assert rec.best_energy == 1.0
+        assert rec.improvements == [(0, 1.0)]
 
     def test_init_state_must_match_instance_size(self):
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 0))
