@@ -2,8 +2,8 @@
 generate / oracle / solve / ccts / mimo-ber / flip-rate / report stages,
 plus `experiment` to run a whole manifest.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numeric failure (a singular
-linear solve), 4 unsolved landscape.
+Exit codes: 0 success, 2 invalid configuration or input file, 3 numeric failure
+(a singular linear solve), 4 unsolved landscape.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, reading
 from .harness import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_UNSOLVED,
+    FLAG_READERS,
     default_workers,
-    detector_configs,
     load_manifest,
-    parse_sweep,
+    read_value,
     run_experiment,
     stage_ccts,
     stage_flip_rate,
@@ -44,10 +44,10 @@ from .solvers import Quantization, SolverKind
 def _add_generate(sub):
     p = sub.add_parser("generate", help="generate benchmark instances")
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edge-prob", type=float, default=0.5)
+    p.add_argument("--n", required=True)
+    p.add_argument("--count", default="1")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--edge-prob", default="0.5")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -58,8 +58,8 @@ def _add_oracle(sub):
     p.add_argument("--in", dest="in_dir", required=True,
                    help="directory of instance JSON files")
     p.add_argument("--out", required=True, help="gs.json output path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--restarts", default=None)
 
 
 def _add_solve(sub):
@@ -69,12 +69,12 @@ def _add_solve(sub):
     p.add_argument("--schedule", required=True,
                    help="family name (maxcut|sk1|mimo) or a JSON file "
                         '{"family": ..., "params": {...}}')
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--steps", required=True)
+    p.add_argument("--trials", required=True)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--workers", default=None)
     p.add_argument("--quantized", default=None, help="fixed-point format, e.g. q16.4")
-    p.add_argument("--tanh-levels", type=int, default=4)
+    p.add_argument("--tanh-levels", default="4")
     p.add_argument("--record-trajectory", action="store_true",
                    help="keep per-step energies in the records")
     p.add_argument("--record-states", action="store_true",
@@ -90,27 +90,27 @@ def _add_ccts(sub):
                    required=True)
     p.add_argument("--grid", required=True,
                    help="step budgets: start:stop:step (inclusive) or comma list")
-    p.add_argument("--threshold-fraction", type=float, default=0.999)
-    p.add_argument("--epsilon", type=float, default=0.001)
+    p.add_argument("--threshold-fraction", default="0.999")
+    p.add_argument("--epsilon", default="0.001")
     p.add_argument("--out", required=True)
 
 
 def _add_mimo_ber(sub):
     p = sub.add_parser("mimo-ber", help="detection BER sweep")
-    p.add_argument("--nt", type=int, required=True)
-    p.add_argument("--nr", type=int, required=True)
-    p.add_argument("--qam", type=int, choices=SUPPORTED_QAM_ORDERS, required=True)
+    p.add_argument("--nt", required=True)
+    p.add_argument("--nr", required=True)
+    p.add_argument("--qam", required=True, help=f"one of {SUPPORTED_QAM_ORDERS}")
     p.add_argument("--ebn0", required=True,
                    help="Eb/N0 in dB: start:stop:step (inclusive) or comma list")
-    p.add_argument("--scenarios", type=int, required=True)
+    p.add_argument("--scenarios", required=True)
     p.add_argument("--detector", action="append", required=True,
                    choices=["mmse"] + [k.value for k in SolverKind],
                    help="repeat for several detectors")
-    p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--trials", default="32")
+    p.add_argument("--steps", default=None)
     p.add_argument("--quantized", default=None)
-    p.add_argument("--tanh-levels", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tanh-levels", default="4")
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)
 
 
@@ -131,7 +131,7 @@ def _add_report(sub):
 def _add_experiment(sub):
     p = sub.add_parser("experiment", help="run a manifest end to end")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,19 +175,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_solve(args) -> int:
     files = _instance_files(args.in_dir)
-    kind = SolverKind(args.kind)
-    quant = Quantization.parse(args.quantized, args.tanh_levels) if args.quantized else None
-    overrides = None
-    family = args.schedule
+    quant = Quantization(args.quantized, args.tanh_levels) if args.quantized else None
+    family, overrides = args.schedule, None
     if family.endswith(".json"):
-        with open(family) as f:
+        with open(family) as f, reading(family):
             spec = json.load(f)
-        family = spec["family"]
-        overrides = spec.get("params")
-    workers = args.workers if args.workers is not None else default_workers()
-    stage_solve(files, kind, family, args.steps, args.trials, args.seed,
-                Path(args.out), workers=workers, quantization=quant,
-                schedule_overrides=overrides,
+            family, overrides = str(spec["family"]), dict(spec.get("params") or {})
+    stage_solve(files, SolverKind(args.kind), family, args.steps, args.trials,
+                args.seed, Path(args.out), workers=args.workers or default_workers(),
+                quantization=quant, schedule_overrides=overrides,
                 record_trajectory=args.record_trajectory,
                 record_states=args.record_states)
     return EXIT_OK
@@ -195,17 +191,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ccts(args) -> int:
     landscape = stage_ccts(args.records, args.ground, CostModelKind(args.model),
-                           parse_sweep(args.grid), Path(args.out),
+                           args.grid, Path(args.out),
                            threshold_fraction=args.threshold_fraction,
                            epsilon=args.epsilon)
     return EXIT_OK if landscape.solved else EXIT_UNSOLVED
 
 
 def _cmd_mimo_ber(args) -> int:
-    quant = Quantization.parse(args.quantized, args.tanh_levels) if args.quantized else None
-    configs = detector_configs(args.detector, args.trials, args.steps, quant)
-    stage_mimo_ber(args.nt, args.nr, args.qam, parse_sweep(args.ebn0),
-                   args.scenarios, configs, args.seed, Path(args.out))
+    stage_mimo_ber({**vars(args), "detectors": args.detector}, args.seed, Path(args.out))
     return EXIT_OK
 
 
@@ -221,9 +214,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    manifest = load_manifest(args.manifest)
-    workers = args.workers if args.workers is not None else default_workers()
-    return run_experiment(manifest, workers=workers)
+    return run_experiment(load_manifest(args.manifest),
+                          workers=args.workers or default_workers())
 
 
 _HANDLERS = {
@@ -241,8 +233,12 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for key, raw in list(vars(args).items()):
+            if key in FLAG_READERS:
+                flag = "--" + key.replace("_", "-")
+                setattr(args, key, read_value(flag, FLAG_READERS[key], raw, "flag"))
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except np.linalg.LinAlgError as exc:

@@ -7,6 +7,7 @@ any quantization applied inside a solver.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -22,6 +23,15 @@ class ConfigError(ValueError):
 
 class DimensionError(ConfigError):
     """Raised when instance / state / schedule dimensions do not match."""
+
+
+@contextmanager
+def reading(path):
+    """Raise a ConfigError naming `path` for content that does not parse or check."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 
 def as_spins(values: Sequence[float] | np.ndarray) -> SpinState:
@@ -97,7 +107,7 @@ class IsingInstance:
 
     @classmethod
     def load(cls, path) -> "IsingInstance":
-        with open(path) as f:
+        with open(path) as f, reading(path):
             return cls.from_json_dict(json.load(f))
 
 
@@ -162,8 +172,7 @@ class TrialRecord:
     energy_trajectory: np.ndarray | None = None
     state_trajectory: np.ndarray | None = None  # (t_steps+1, n) int8, incl. init
 
-    def to_json_dict(self, keep_trajectory: bool = False,
-                     keep_states: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         d = {
             "best_energy": self.best_energy,
             "best_step": self.best_step,
@@ -171,9 +180,9 @@ class TrialRecord:
             "seed": int(self.seed),
             "improvements": [[int(t), float(e)] for t, e in self.improvements],
         }
-        if keep_trajectory and self.energy_trajectory is not None:
+        if self.energy_trajectory is not None:
             d["energy_trajectory"] = [float(e) for e in self.energy_trajectory]
-        if keep_states and self.state_trajectory is not None:
+        if self.state_trajectory is not None:
             d["state_trajectory"] = self.state_trajectory.astype(int).tolist()
         return d
 
@@ -200,19 +209,23 @@ def energy(inst: IsingInstance, s: SpinState) -> float:
     return float(-0.5 * (s @ (inst.j @ s)) - inst.h @ s)
 
 
+def block_energies(inst: IsingInstance, states: np.ndarray, acc=None) -> np.ndarray:
+    """Energy of every row of `states`; `acc` is `states @ inst.j` if known."""
+    acc = states @ inst.j if acc is None else acc
+    return -0.5 * np.einsum("bn,bn->b", states, acc) - states @ inst.h
+
+
 def random_spins(n: int, rng: np.random.Generator) -> SpinState:
     """Uniform random +-1 vector drawn from `rng`."""
     return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
 
 
-def write_records_jsonl(path, records, keep_trajectory: bool = False,
-                        keep_states: bool = False, extra=None) -> None:
-    """Write TrialRecords as JSON lines. `extra` is an optional parallel list
-    of dicts merged into each line (e.g. instance / trial indices)."""
+def write_records_jsonl(path, records, extra=None) -> None:
+    """Write TrialRecords, with the trajectories they hold, as JSON lines.
+    `extra` is an optional parallel list of dicts merged into each line."""
     with open(path, "w") as f:
         for k, rec in enumerate(records):
-            d = rec.to_json_dict(keep_trajectory=keep_trajectory,
-                                 keep_states=keep_states)
+            d = rec.to_json_dict()
             if extra is not None:
                 d.update(extra[k])
             f.write(json.dumps(d))
@@ -224,7 +237,7 @@ def read_records_jsonl(path):
     records, extras = [], []
     known = {"best_energy", "best_step", "final_spins", "seed",
              "improvements", "energy_trajectory", "state_trajectory"}
-    with open(path) as f:
+    with open(path) as f, reading(path):
         for line in f:
             line = line.strip()
             if not line:

@@ -29,6 +29,7 @@ from .core import (
     Schedule,
     ScheduleKind,
     read_records_jsonl,
+    reading,
     write_records_jsonl,
 )
 from .instances import Family, GeneratorSpec, generate
@@ -66,17 +67,6 @@ _COST_MODEL_FOR_SOLVER = {
     SolverKind.CONV_PARALLEL: CostModelKind.PAR,
     SolverKind.PIMI: CostModelKind.PIMI,
 }
-
-
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +113,7 @@ def parse_manifest_text(text: str, out_dir: str | None = None) -> ExperimentMani
         pairs[key] = value
 
     version = pairs.pop("schema_version", None)
-    if version is None or _read("schema_version", int, version) != 1:
+    if version is None or read_value("schema_version", int, version) != 1:
         raise ConfigError("manifest must declare schema_version = 1")
     family = pairs.pop("family", None)
     if family not in _SCHEMA:
@@ -135,7 +125,7 @@ def parse_manifest_text(text: str, out_dir: str | None = None) -> ExperimentMani
     if out is None:
         raise ConfigError("manifest must declare out = <directory> (or pass one)")
     _read_options(family, pairs)
-    return ExperimentManifest(family=family, seed=_read("seed", _seed, seed),
+    return ExperimentManifest(family=family, seed=read_value("seed", _seed, seed),
                               out_dir=str(out), options=pairs)
 
 
@@ -250,11 +240,24 @@ _SCHEMA = {
 }
 
 
-def _read(key: str, reader, raw: str | None):
+# cli.main reads each flag like the manifest key of its name, or as given here
+FLAG_READERS = {key: reader for keys in _SCHEMA.values()
+                for key, (reader, _) in keys.items()}
+FLAG_READERS.update(seed=_seed, count=_count, restarts=_count, workers=_count,
+                    grid=parse_sweep)
+
+
+def read_value(key: str, reader, raw: str | None, what: str = "manifest key"):
+    """reader(raw), or None for None; a ValueError becomes a ConfigError naming key."""
     try:
         return None if raw is None else reader(raw)
     except ValueError as exc:
-        raise ConfigError(f"manifest key {key!r}: cannot read {raw!r}: {exc}") from None
+        raise ConfigError(f"{what} {key!r}: cannot read {raw!r}: {exc}") from None
+
+
+def default_workers() -> int:
+    raw = os.environ.get(WORKERS_ENV_VAR, "1")
+    return read_value(WORKERS_ENV_VAR, _count, raw, "environment variable")
 
 
 def _read_options(family: str, options: dict) -> dict:
@@ -264,7 +267,7 @@ def _read_options(family: str, options: dict) -> dict:
     unknown = set(options) - set(schema)
     if unknown:
         raise ConfigError(f"unknown manifest keys for {family}: {sorted(unknown)}")
-    return {key: _read(key, reader, options.get(key, default))
+    return {key: read_value(key, reader, options.get(key, default))
             for key, (reader, default) in schema.items()}
 
 
@@ -280,7 +283,6 @@ def instance_seed(base_seed: int, n: int, index: int) -> int:
 def stage_generate(family: Family, sizes, count: int, base_seed: int,
                    out_dir: Path, edge_prob: float = 0.5) -> list[Path]:
     """Write instance JSON files named <family>_n<N>_i<k>.json."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for n in sizes:
         for k in range(count):
@@ -290,6 +292,7 @@ def stage_generate(family: Family, sizes, count: int, base_seed: int,
             payload = inst.to_json_dict()
             if edges is not None:
                 payload["edge_count"] = edges
+            out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"{family.value}_n{n}_i{k}.json"
             with open(path, "w") as f:
                 json.dump(payload, f)
@@ -345,8 +348,7 @@ def stage_solve(instance_paths, kind: SolverKind, family: str, t_steps: int,
             extras.append({"instance": Path(path).name, "trial": t_idx,
                            "kind": kind.value, "t_steps": t_steps})
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_records_jsonl(out_path, records, keep_trajectory=record_trajectory,
-                        keep_states=record_states, extra=extras)
+    write_records_jsonl(out_path, records, extra=extras)
 
 
 def _fmt(value) -> str:
@@ -368,12 +370,13 @@ def stage_ccts(records_path, ground_path, model_kind: CostModelKind,
     records, extras = read_records_jsonl(records_path)
     if not records:
         raise ConfigError(f"no records in {records_path}")
-    with open(ground_path) as f:
-        ground = json.load(f)
+    with open(ground_path) as f, reading(ground_path):
+        ground = {name: float(entry["energy"]) for name, entry in json.load(f).items()}
 
     by_instance: dict[str, list] = {}
-    for rec, extra in zip(records, extras):
-        by_instance.setdefault(extra["instance"], []).append(rec)
+    with reading(records_path):  # records need their instance annotation
+        for rec, extra in zip(records, extras):
+            by_instance.setdefault(extra["instance"], []).append(rec)
 
     t_max = min((e["t_steps"] for e in extras if "t_steps" in e),
                 default=math.inf)
@@ -388,8 +391,7 @@ def stage_ccts(records_path, ground_path, model_kind: CostModelKind,
     for name, recs in sorted(by_instance.items()):
         if name not in ground:
             raise ConfigError(f"missing ground truth for {name}")
-        crit = SuccessCriterion(float(ground[name]["energy"]),
-                                threshold_fraction)
+        crit = SuccessCriterion(ground[name], threshold_fraction)
         curves.append(success_curve(recs, crit, grid))
     curves = np.array(curves)  # (instances, budgets)
     p_means = curves.mean(axis=0)
@@ -415,7 +417,10 @@ def stage_flip_rate(records_path, instance_path, out_path: Path) -> np.ndarray:
     if not trajs:
         raise ConfigError(f"{records_path} holds no state trajectories")
     inst = IsingInstance.load(instance_path)
-    pnt = neighbor_triggered_flip_rate(trajs, inst)
+    return _write_pnt_csv(neighbor_triggered_flip_rate(trajs, inst), out_path)
+
+
+def _write_pnt_csv(pnt: np.ndarray, out_path: Path) -> np.ndarray:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -425,11 +430,18 @@ def stage_flip_rate(records_path, instance_path, out_path: Path) -> np.ndarray:
     return pnt
 
 
-def stage_mimo_ber(nt: int, nr: int, qam: int, ebn0_values, n_scenarios: int,
-                   configs: dict, base_seed: int, out_path: Path) -> list:
-    """BER sweep; CSV columns (ebn0_db, ber, scenario_count, detector)."""
+def stage_mimo_ber(opts: dict, base_seed: int, out_path: Path) -> list:
+    """BER sweep of the mimo-ber family and subcommand, from the family's
+    options as read; CSV columns (ebn0_db, ber, scenario_count, detector)."""
+    quant = (Quantization(opts["quantized"], opts["tanh_levels"])
+             if opts["quantized"] else None)
+    configs = {name: DetectorConfig(kind=name, trials=opts["trials"], steps=opts["steps"],
+                                    quantization=None if name == "mmse" else quant)
+               for name in opts["detectors"]}
+    nt, qam, n_scenarios = opts["nt"], opts["qam"], opts["scenarios"]
+    nr = opts["nr"] or nt
     rows = []
-    for ebn0 in ebn0_values:
+    for ebn0 in opts["ebn0"]:
         scen_seed_root = np.random.SeedSequence(
             [int(base_seed), int(round(ebn0 * 1000))])
         seeds = scen_seed_root.generate_state(n_scenarios, np.uint64)
@@ -461,14 +473,6 @@ def _write_stamp(manifest: ExperimentManifest, out_dir: Path, status: int):
     with open(out_dir / "stamp.json", "w") as f:
         json.dump(stamp, f, indent=1, sort_keys=True)
         f.write("\n")
-
-
-def detector_configs(names, trials: int, steps: int | None,
-                     quantization: Quantization | None) -> dict:
-    """One DetectorConfig per detector name, in order; mmse is unquantized."""
-    return {name: DetectorConfig(kind=name, trials=trials, steps=steps,
-                                 quantization=None if name == "mmse" else quantization)
-            for name in names}
 
 
 def _run_bench(family: Family, manifest: ExperimentManifest, opts: dict,
@@ -511,13 +515,7 @@ def _run_bench(family: Family, manifest: ExperimentManifest, opts: dict,
 
 
 def _run_mimo_ber(manifest: ExperimentManifest, opts: dict, workers: int) -> int:
-    quant = (Quantization(opts["quantized"], opts["tanh_levels"])
-             if opts["quantized"] else None)
-    configs = detector_configs(opts["detectors"], opts["trials"], opts["steps"],
-                               quant)
-    stage_mimo_ber(opts["nt"], opts["nr"] or opts["nt"], opts["qam"],
-                   opts["ebn0"], opts["scenarios"], configs, manifest.seed,
-                   Path(manifest.out_dir) / "ber.csv")
+    stage_mimo_ber(opts, manifest.seed, Path(manifest.out_dir) / "ber.csv")
     return EXIT_OK
 
 
@@ -544,9 +542,9 @@ def _run_flip_rate(manifest: ExperimentManifest, opts: dict, workers: int) -> in
     for xi, sched in zip(xis, scheds):
         recs = run_batch([inst], SolverKind.PIMI, sched, opts["trials"],
                          manifest.seed, workers=workers, record_states=True)[0]
-        records_path = out / f"traj_xi{xi}.jsonl"
-        write_records_jsonl(records_path, recs, keep_states=True)
-        pnt = stage_flip_rate(records_path, paths[0], out / f"pnt_xi{xi}.csv")
+        write_records_jsonl(out / f"traj_xi{xi}.jsonl", recs)
+        pnt = neighbor_triggered_flip_rate([rec.state_trajectory for rec in recs], inst)
+        _write_pnt_csv(pnt, out / f"pnt_xi{xi}.csv")
         summary_rows.append((xi, float(np.nanmean(pnt))))
     with open(out / "pnt_summary.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -619,6 +617,8 @@ def summarize(out_dir, report_path=None) -> str:
     """Digest an experiment archive into summary.csv plus a plain-text
     report. Empty archives produce an empty report and succeed."""
     out = Path(out_dir)
+    if not out.is_dir():
+        raise ConfigError(f"no archive directory at {out_dir}")
     report_path = Path(report_path) if report_path else out / "report.txt"
     lines = []
     summary_rows = []

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ConfigError, IsingInstance, SpinState
+from .core import ConfigError, IsingInstance, SpinState, block_energies
 
 EXHAUSTIVE_MAX_N = 24
 _ENUM_BLOCK = 1 << 16
@@ -33,11 +33,6 @@ class OracleResult:
     best_state: SpinState
     method: OracleMethod
     effort: dict = field(default_factory=dict)
-
-
-def _block_energies(inst: IsingInstance, states: np.ndarray) -> np.ndarray:
-    half_jst = states @ inst.j
-    return -0.5 * np.einsum("bn,bn->b", states, half_jst) - states @ inst.h
 
 
 def exhaustive(inst: IsingInstance) -> OracleResult:
@@ -64,7 +59,7 @@ def exhaustive(inst: IsingInstance) -> OracleResult:
             states[:, 1:] = bits * 2.0 - 1.0
         else:
             states[:, :] = bits * 2.0 - 1.0
-        energies = _block_energies(inst, states)
+        energies = block_energies(inst, states)
         k = int(np.argmin(energies))
         if energies[k] < best_e:
             best_e = float(energies[k])
@@ -118,7 +113,7 @@ def sim_anneal_oracle(inst: IsingInstance, restarts: int = 10,
 
     states = rng.integers(0, 2, (restarts, n)).astype(float) * 2.0 - 1.0
     fields = states @ j + h  # running raw local fields per chain
-    energies = _block_energies(inst, states)
+    energies = block_energies(inst, states)
     best_e = energies.copy()
     best_states = states.copy()
 
@@ -198,7 +193,7 @@ def local_search_oracle(inst: IsingInstance, restarts: int | None = None,
 
     states = rng.integers(0, 2, (restarts, n)).astype(float) * 2.0 - 1.0
     fields = states @ j + h
-    energies = _block_energies(inst, states)
+    energies = block_energies(inst, states)
     best_e = energies.copy()
     best_states = states.copy()
     chain = np.arange(restarts)

@@ -36,6 +36,7 @@ from .core import (
     ScheduleKind,
     TrialRecord,
     as_spins,
+    block_energies,
     random_spins,
 )
 from .quantize import FixedPointFormat, TanhLut, lut_tanh, quantize
@@ -53,13 +54,6 @@ class Quantization:
 
     fmt: FixedPointFormat
     lut: TanhLut
-
-    @classmethod
-    def parse(cls, fmt_name: str, tanh_levels: int = 4) -> "Quantization":
-        try:
-            return cls(FixedPointFormat.parse(fmt_name), TanhLut(int(tanh_levels)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _sign_pm1(z):
@@ -114,7 +108,10 @@ def default_schedule_params(kind: ScheduleKind, family: str | None = None,
 def _require(params: dict, key: str, minimum=None, strict=False) -> float:
     if key not in params:
         raise ConfigError(f"schedule parameter {key!r} missing")
-    value = float(params[key])
+    try:
+        value = float(params[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"schedule parameter {key!r} must be a number") from None
     if minimum is not None and (value <= minimum if strict else value < minimum):
         op = ">" if strict else ">="
         raise ConfigError(f"schedule parameter {key!r} must be {op} {minimum}")
@@ -347,7 +344,7 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
         states[0] = S
 
     if seq:
-        prev = -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h
+        prev = block_energies(inst, S)
         for t in range(T):
             i = t % n
             s_i = S[:, i]
@@ -373,7 +370,7 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
             if qt is None:
                 np.matmul(S, j_raw, out=acc)
                 if t > 0:
-                    energies[t - 1] = -0.5 * np.einsum("bn,bn->b", S, acc) - S @ h
+                    energies[t - 1] = block_energies(inst, S, acc)
                 # z = tanh(beta (scale acc + h)) [+ xi S] + eta draw, in place
                 np.multiply(acc, scale, out=z)
                 z += h
@@ -391,13 +388,12 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
                 S -= 1.0
             else:
                 if t > 0:
-                    energies[t - 1] = (-0.5 * np.einsum("bn,bn->b", S, S @ j_raw)
-                                       - S @ h)
+                    energies[t - 1] = block_energies(inst, S)
                 S = _quantized_update(S @ qt.jq, qt.hq, S, t, qt, draws(t),
                                       with_inertia)
             if states is not None:
                 states[t + 1] = S
-        energies[T - 1] = -0.5 * np.einsum("bn,bn->b", S, S @ j_raw) - S @ h
+        energies[T - 1] = block_energies(inst, S)
 
     records = []
     for b, (best, best_step, improvements) in enumerate(_best_so_far(energies)):

@@ -218,7 +218,7 @@ class TestTrialRecord:
                         seed=43, improvements=[(0, -3.5)]),
         ]
         path = tmp_path / "r.jsonl"
-        write_records_jsonl(path, recs, keep_trajectory=True,
+        write_records_jsonl(path, recs,
                             extra=[{"instance": 0, "trial": k} for k in range(2)])
         back, extras = read_records_jsonl(path)
         assert len(back) == 2

@@ -17,6 +17,7 @@ from pimi_lab.harness import (
     parse_sweep,
     run_experiment,
     stage_ccts,
+    stage_flip_rate,
     stage_generate,
     stage_oracle,
     stage_solve,
@@ -338,6 +339,22 @@ class TestExperiments:
             rows = {r["xi"]: float(r["mean_p_nt"]) for r in csv.DictReader(f)}
         assert rows["0.9"] < rows["0.0"]
 
+    @pytest.mark.parametrize("drive", ["fixed", "annealed"])
+    def test_flip_rate_family_pnt_matches_stage(self, tmp_path, drive):
+        # the family computes P_NT from its records in memory; the flip-rate
+        # stage, run on the archived trajectories, must write the same bytes
+        text = _GOOD_MANIFESTS["flip-rate"]
+        if drive == "annealed":
+            text = ("schema_version = 1\nfamily = flip-rate\nseed = 9\n"
+                    "n = 12\ntrials = 8\nsteps = 60\nxi = 0.0,0.9\n")
+        run = tmp_path / "run"
+        assert run_experiment(parse_manifest_text(text + f"out = {run}\n")) == 0
+        instance = next((run / "instances").glob("*.json"))
+        for xi in ("0.0", "0.9"):
+            stage_flip_rate(run / f"traj_xi{xi}.jsonl", instance, tmp_path / "pnt.csv")
+            assert ((tmp_path / "pnt.csv").read_bytes()
+                    == (run / f"pnt_xi{xi}.csv").read_bytes())
+
 
 class TestSummarize:
     def test_empty_archive(self, tmp_path):
@@ -361,6 +378,85 @@ class TestSummarize:
         mean = sum(logs) / 3
         byhand = math.sqrt(sum((l - mean) ** 2 for l in logs) / 3)
         assert log_space_std(vals) == pytest.approx(byhand)
+
+
+def _solve(*flags, schedule="maxcut"):
+    return ["solve", "--kind", "pimi", "--in", "{inst}", "--schedule", schedule,
+            "--steps", "20", "--trials", "2", *flags, "--out", "{out}"]
+
+
+def _ccts(records="{rec}", ground="{gs}"):
+    return ["ccts", "--records", records, "--ground", ground, "--model", "pimi",
+            "--grid", "10:20:10", "--out", "{out}"]
+
+
+_MIMO = ["mimo-ber", "--nt", "2", "--nr", "2", "--qam", "4", "--ebn0", "4",
+         "--scenarios", "1", "--detector", "mmse"]
+
+# id -> (argv, what stderr must name); "{name}" stands for a path of the
+# boundary_inputs fixture
+_BAD_INPUTS = {
+    "generate-seed": (["generate", "--family", "maxcut", "--n", "6", "--seed", "-1",
+                       "--out", "{out}"], "--seed"),
+    "oracle-seed": (["oracle", "--method", "sa", "--in", "{inst}", "--seed", "-1",
+                     "--out", "{out}"], "--seed"),
+    "solve-seed": (_solve("--seed", "-1"), "--seed"),
+    "mimo-ber-seed": (_MIMO + ["--seed", "-1", "--out", "{out}"], "--seed"),
+    "schedule-missing": (_solve(schedule="{missing}"), "{missing}"),
+    "schedule-not-json": (_solve(schedule="{not_json}"), "{not_json}"),
+    "schedule-no-family": (_solve(schedule="{sched_no_family}"), "{sched_no_family}"),
+    "schedule-non-numeric": (_solve(schedule="{sched_bad_param}"), "'xi'"),
+    "experiment-manifest-missing": (["experiment", "--manifest", "{missing}"],
+                                    "{missing}"),
+    "report-archive-missing": (["report", "--archive", "{out}"], "{out}"),
+    "ccts-records-missing": (_ccts(records="{missing}"), "{missing}"),
+    "ccts-ground-missing": (_ccts(ground="{missing}"), "{missing}"),
+    "flip-rate-records-missing": (["flip-rate", "--records", "{missing}", "--instance",
+                                   "{inst}", "--out", "{out}"], "{missing}"),
+    "instance-not-json": (["oracle", "--method", "sa", "--in", "{not_json}",
+                           "--out", "{out}"], "{not_json}"),
+    "instance-no-n": (["oracle", "--method", "sa", "--in", "{inst_no_n}",
+                       "--out", "{out}"], "{inst_no_n}"),
+    "records-not-json": (_ccts(records="{not_json}"), "{not_json}"),
+    "records-no-best-step": (_ccts(records="{rec_no_best_step}"), "{rec_no_best_step}"),
+    "records-no-instance": (_ccts(records="{rec_no_instance}"), "{rec_no_instance}"),
+    "gs-not-json": (_ccts(ground="{not_json}"), "{not_json}"),
+    "gs-no-energy": (_ccts(ground="{gs_no_energy}"), "{gs_no_energy}"),
+    "generate-count-0": (["generate", "--family", "maxcut", "--n", "6", "--count", "0",
+                          "--out", "{out}"], "--count"),
+    "experiment-workers-0": (["experiment", "--manifest", "{flip}", "--workers", "0"],
+                             "--workers"),
+    "solve-tanh-levels-1": (_solve("--tanh-levels", "1"), "--tanh-levels"),
+    "generate-edge-prob": (["generate", "--family", "maxcut", "--n", "6",
+                            "--edge-prob", "1.5", "--out", "{out}"], "edge_prob"),
+}
+
+
+@pytest.fixture
+def boundary_inputs(tmp_path):
+    """A good instance, records file and gs.json, one bad file per fault, and
+    the output path `out`, which no bad input may create."""
+    d = tmp_path / "in"
+    inst = stage_generate(Family.MAXCUT_ER, [6], 1, 2, d)[0]
+    stage_oracle([inst], OracleMethod.EXHAUSTIVE, d / "gs.json")
+    stage_solve([inst], SolverKind.PIMI, "maxcut", 20, 2, 3, d / "rec.jsonl",
+                record_states=True)
+    record = json.loads((d / "rec.jsonl").read_text().splitlines()[0])
+    files = {
+        "not_json.json": "{",
+        "inst_no_n.json": json.dumps({"j": [[0.0]], "h": [0.0]}),
+        **{f"rec_no_{key}.jsonl": json.dumps({k: v for k, v in record.items() if k != key})
+           for key in ("best_step", "instance")},
+        "gs_no_energy.json": json.dumps({inst.name: {"method": "exhaustive"}}),
+        "sched_no_family.json": json.dumps({"params": {}}),
+        "sched_bad_param.json": json.dumps({"family": "maxcut", "params": {"xi": "high"}}),
+        "flip.manifest": _GOOD_MANIFESTS["flip-rate"] + f"out = {tmp_path / 'out'}\n",
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    return {"inst": inst, "rec": d / "rec.jsonl", "gs": d / "gs.json",
+            "missing": d / "missing.json", "out": tmp_path / "out",
+            **{name.split(".")[0]: d / name for name in files}}
 
 
 class TestCli:
@@ -400,6 +496,15 @@ class TestCli:
         assert code == 2
         assert "step budget" in capsys.readouterr().err
         assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("argv, named", list(_BAD_INPUTS.values()),
+                             ids=list(_BAD_INPUTS))
+    def test_bad_input_exit_code(self, boundary_inputs, capsys, argv, named):
+        # every bad flag value and every missing or malformed input file
+        # exits 2 with a message naming it, before anything is written
+        assert main([arg.format(**boundary_inputs) for arg in argv]) == 2
+        assert named.format(**boundary_inputs) in capsys.readouterr().err
+        assert not boundary_inputs["out"].exists()
 
     def test_invalid_config_exit_code(self, tmp_path):
         r = self.run_cli("oracle", "--method", "exhaustive",

@@ -13,6 +13,7 @@ from pimi_lab.core import (
     energy,
 )
 from pimi_lab.instances import Family, GeneratorSpec, gen_maxcut, gen_sk1
+from pimi_lab.quantize import FixedPointFormat, TanhLut
 from pimi_lab.solvers import (
     Quantization,
     SolverKind,
@@ -340,7 +341,7 @@ class TestRunBatch:
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 7, 5))
         sched = schedule_for_solver(kind, "sk1", 7, 40)
         for total_bits, int_bits in ((16, 4), (8, 3)):
-            quant = Quantization.parse(f"q{total_bits}.{int_bits}", 4)
+            quant = Quantization(FixedPointFormat(total_bits, int_bits), TanhLut(4))
             batch = run_batch([inst], kind, sched, 6, base_seed=2,
                               quantization=quant, record_trajectory=True,
                               record_states=True)[0]
@@ -362,8 +363,8 @@ class TestRunBatch:
         monkeypatch.setattr(solvers, "_NOISE_CHUNK_BYTES", 40 * 8 * trials * width)
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, n, 4))
         sched = schedule_for_solver(kind, "sk1", n, t_steps)
-        for quantization, quant in ((None, None),
-                                    (Quantization.parse("q8.3", 4), (8, 3, 4))):
+        q83 = Quantization(FixedPointFormat(8, 3), TanhLut(4))
+        for quantization, quant in ((None, None), (q83, (8, 3, 4))):
             batch = run_batch([inst], kind, sched, trials, base_seed=12,
                               quantization=quantization,
                               record_trajectory=True, record_states=True)[0]
@@ -566,7 +567,7 @@ class TestQuantizedTrace:
     def test_matches_straightline_interpreter(self):
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 8))
         sched = schedule_for_solver(SolverKind.PIMI, "sk1", 6, 30)
-        quant = Quantization.parse("q4.2", 4)
+        quant = Quantization(FixedPointFormat(4, 2), TanhLut(4))
         init, draws = trial_noise(SolverKind.PIMI, 6, 30, derive_trial_seed(3, 0, 0))
 
         rec = run_batch([inst], SolverKind.PIMI, sched, 1, base_seed=3,
@@ -578,7 +579,7 @@ class TestQuantizedTrace:
     def test_matches_straightline_q164(self):
         inst, _ = gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 8, 2))
         sched = schedule_for_solver(SolverKind.PIMI, "maxcut", 8, 25)
-        quant = Quantization.parse("q16.4", 4)
+        quant = Quantization(FixedPointFormat(16, 4), TanhLut(4))
         init, draws = trial_noise(SolverKind.PIMI, 8, 25, derive_trial_seed(5, 0, 1))
 
         rec = run_batch([inst], SolverKind.PIMI, sched, 2, base_seed=5,
