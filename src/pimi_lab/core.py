@@ -209,10 +209,16 @@ def energy(inst: IsingInstance, s: SpinState) -> float:
     return float(-0.5 * (s @ (inst.j @ s)) - inst.h @ s)
 
 
-def block_energies(inst: IsingInstance, states: np.ndarray, acc=None) -> np.ndarray:
-    """Energy of every row of `states`; `acc` is `states @ inst.j` if known."""
-    acc = states @ inst.j if acc is None else acc
-    return -0.5 * np.einsum("bn,bn->b", states, acc) - states @ inst.h
+def block_energies(j: np.ndarray, h: np.ndarray, states: np.ndarray,
+                   acc=None) -> np.ndarray:
+    """Energy of every row of `states` (..., B, N) under couplings `j`
+    (..., N, N) and bias `h` (..., N), stacked alike; `acc` is
+    `states @ j` if known. Each row's sums are those of the unstacked form."""
+    acc = np.matmul(states, j) if acc is None else acc
+    if h.ndim == 1:  # one instance: the plain form, which is cheaper per call
+        return -0.5 * np.einsum("bn,bn->b", states, acc) - states @ h
+    return (-0.5 * np.einsum("...n,...n->...", states, acc)
+            - np.matmul(states, h[..., None])[..., 0])
 
 
 def random_spins(n: int, rng: np.random.Generator) -> SpinState:

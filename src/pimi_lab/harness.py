@@ -545,7 +545,10 @@ def _run_flip_rate(manifest: ExperimentManifest, opts: dict, workers: int) -> in
         write_records_jsonl(out / f"traj_xi{xi}.jsonl", recs)
         pnt = neighbor_triggered_flip_rate([rec.state_trajectory for rec in recs], inst)
         _write_pnt_csv(pnt, out / f"pnt_xi{xi}.csv")
-        summary_rows.append((xi, float(np.nanmean(pnt))))
+        # steps without a neighbour flip have no rate; with none at all
+        # the mean is empty too
+        summary_rows.append((xi, math.nan if np.isnan(pnt).all()
+                             else float(np.nanmean(pnt))))
     with open(out / "pnt_summary.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["xi", "mean_p_nt"])
@@ -593,7 +596,7 @@ def archive_hash(out_dir) -> str:
 
 def _read_landscape_csv(path):
     rows = []
-    with open(path, newline="") as f:
+    with open(path, newline="") as f, reading(path):
         for row in csv.DictReader(f):
             rows.append({
                 "T_steps": int(row["T_steps"]),

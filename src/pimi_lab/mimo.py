@@ -24,6 +24,7 @@ from .core import ConfigError, IsingInstance
 from .solvers import (
     Quantization,
     SolverKind,
+    instances_per_block,
     run_batch,
     schedule_for_solver,
 )
@@ -355,42 +356,65 @@ def detect(scenario: MimoScenario, config: DetectorConfig,
 
     The anchor x_m is the sliced MMSE estimate, which keeps corrections
     integer-valued, and every trial starts at the spin encoding of d = 0
-    (the anchor itself), so exploration radiates from the linear estimate."""
-    mmse = mmse_detect(scenario)
+    (the anchor itself), so exploration radiates from the linear estimate.
+    Trial k's seed derives from (base_seed, 0, k)."""
+    return _detect_group([scenario], config, [base_seed])[0]
+
+
+def _detect_group(scenarios, config: DetectorConfig, seeds) -> list[DetectionResult]:
+    """`detect` of each scenario with its base seed, the solver runs of all
+    scenarios of one antenna count and QAM order in one `run_batch` call:
+    the engine stacks them into blocks of whole instances."""
+    mmse = [mmse_detect(sc) for sc in scenarios]
     kind = config.solver_kind()
     if kind is None:
-        bits = symbols_to_bits(mmse.symbols, scenario.qam_order)
-        return DetectionResult(bits=bits, symbols=mmse.symbols,
-                               scenario=scenario, mmse=mmse)
+        return [DetectionResult(bits=symbols_to_bits(mm.symbols, sc.qam_order),
+                                symbols=mm.symbols, scenario=sc, mmse=mm)
+                for sc, mm in zip(scenarios, mmse)]
 
-    problem = build_dimimo(scenario, mmse.x_m_sliced)
-    inst = problem.to_instance()
-    steps = config.steps if config.steps is not None else default_steps(
-        kind, scenario.nt, scenario.qam_order, problem.n_spins)
-    sched = schedule_for_solver(kind, "mimo", problem.n_spins, steps)
-    init_state = zero_correction_spins(scenario.nt, problem.correction_set)
-    records = run_batch([inst], kind, sched, config.trials, base_seed,
-                        workers=1, quantization=config.quantization,
-                        init_state=init_state)[0]
-    energies = np.array([problem.energy(rec.final_spins) for rec in records])
-    best = int(np.argmin(energies))
-    s_hat = records[best].final_spins
-    x_hat = complex_from_stack(problem.reconstruct(s_hat))
-    symbols = slice_to_constellation(x_hat, scenario.qam_order)
-    bits = symbols_to_bits(symbols, scenario.qam_order)
-    return DetectionResult(bits=bits, symbols=symbols, scenario=scenario,
-                           mmse=mmse, best_energy=float(energies[best]),
-                           trial_energies=energies)
+    problems = [build_dimimo(sc, mm.x_m_sliced) for sc, mm in zip(scenarios, mmse)]
+    by_shape: dict[tuple, list[int]] = {}
+    for idx, sc in enumerate(scenarios):
+        by_shape.setdefault((sc.nt, sc.qam_order), []).append(idx)
+    records = [None] * len(scenarios)
+    for (nt, m), members in by_shape.items():
+        problem = problems[members[0]]
+        steps = config.steps if config.steps is not None else default_steps(
+            kind, nt, m, problem.n_spins)
+        sched = schedule_for_solver(kind, "mimo", problem.n_spins, steps)
+        runs = run_batch([problems[idx].to_instance() for idx in members], kind,
+                         sched, config.trials, [seeds[idx] for idx in members],
+                         workers=1, quantization=config.quantization,
+                         init_state=zero_correction_spins(nt, problem.correction_set))
+        for idx, recs in zip(members, runs):
+            records[idx] = recs
+
+    results = []
+    for sc, mm, problem, recs in zip(scenarios, mmse, problems, records):
+        energies = np.array([problem.energy(rec.final_spins) for rec in recs])
+        best = int(np.argmin(energies))
+        x_hat = complex_from_stack(problem.reconstruct(recs[best].final_spins))
+        symbols = slice_to_constellation(x_hat, sc.qam_order)
+        results.append(DetectionResult(
+            bits=symbols_to_bits(symbols, sc.qam_order), symbols=symbols,
+            scenario=sc, mmse=mm, best_energy=float(energies[best]),
+            trial_energies=energies))
+    return results
 
 
 def ber(scenarios, config: DetectorConfig, base_seed: int = 0) -> float:
-    """Mean fraction of incorrectly detected information bits."""
+    """Mean fraction of incorrectly detected information bits. Scenario
+    idx is detected with base seed SeedSequence([base_seed, idx]), a block
+    of scenarios at a time: as many as share one engine block."""
     scenarios = list(scenarios)
     if not scenarios:
         raise ConfigError("ber needs at least one scenario")
+    seeds = [int(np.random.SeedSequence([int(base_seed), idx]).generate_state(
+        1, np.uint64)[0]) for idx in range(len(scenarios))]
+    size = instances_per_block(config.trials)
     fractions = []
-    for idx, scenario in enumerate(scenarios):
-        seed = int(np.random.SeedSequence([int(base_seed), idx]).generate_state(
-            1, np.uint64)[0])
-        fractions.append(detect(scenario, config, base_seed=seed).ber)
+    for start in range(0, len(scenarios), size):
+        group = slice(start, start + size)
+        fractions += [res.ber for res in _detect_group(scenarios[group], config,
+                                                        seeds[group])]
     return float(np.mean(fractions))

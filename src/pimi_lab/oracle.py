@@ -59,7 +59,7 @@ def exhaustive(inst: IsingInstance) -> OracleResult:
             states[:, 1:] = bits * 2.0 - 1.0
         else:
             states[:, :] = bits * 2.0 - 1.0
-        energies = block_energies(inst, states)
+        energies = block_energies(inst.j, inst.h, states)
         k = int(np.argmin(energies))
         if energies[k] < best_e:
             best_e = float(energies[k])
@@ -113,7 +113,7 @@ def sim_anneal_oracle(inst: IsingInstance, restarts: int = 10,
 
     states = rng.integers(0, 2, (restarts, n)).astype(float) * 2.0 - 1.0
     fields = states @ j + h  # running raw local fields per chain
-    energies = block_energies(inst, states)
+    energies = block_energies(inst.j, inst.h, states)
     best_e = energies.copy()
     best_states = states.copy()
 
@@ -193,7 +193,7 @@ def local_search_oracle(inst: IsingInstance, restarts: int | None = None,
 
     states = rng.integers(0, 2, (restarts, n)).astype(float) * 2.0 - 1.0
     fields = states @ j + h
-    energies = block_energies(inst, states)
+    energies = block_energies(inst.j, inst.h, states)
     best_e = energies.copy()
     best_states = states.copy()
     chain = np.arange(restarts)

@@ -60,20 +60,22 @@ class FixedPointFormat:
             raise ValueError(f"bad fixed-point format {name!r}; expected e.g. 'q16.4'")
 
 
-def quantize(x, fmt: FixedPointFormat):
+def quantize(x, fmt: FixedPointFormat, out=None):
     """Truncate toward zero onto the format's grid, saturating at the range.
 
     Accepts scalars or arrays; total function (no errors raised on any
-    finite input).
+    finite input). `out`, an array of x's shape, receives the result; it may
+    be x itself.
     """
     arr = np.asarray(x, dtype=np.float64)
     half_range = 2.0 ** (fmt.total_bits - 1)
-    q = np.trunc(arr / fmt.step)
-    q = np.clip(q, -half_range, half_range - 1.0)
-    out = q * fmt.step
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    q = np.divide(arr, fmt.step, out=np.empty(arr.shape) if out is None else out)
+    np.trunc(q, out=q)
+    np.clip(q, -half_range, half_range - 1.0, out=q)
+    np.multiply(q, fmt.step, out=q)
+    if out is None and (np.isscalar(x) or np.ndim(x) == 0):
+        return float(q)
+    return q
 
 
 @dataclass(frozen=True)
@@ -102,16 +104,17 @@ def _lut_tables(levels: int):
     return lut.breakpoints, lut.output_levels
 
 
-def lut_tanh(x, lut: TanhLut):
+def lut_tanh(x, lut: TanhLut, out=None):
     """LUT tanh: saturate outside [-1, 1]; otherwise return the output level
-    of the half-open bin [b_k, b_{k+1}) containing x (rightmost bin closed)."""
+    of the half-open bin [b_k, b_{k+1}) containing x (rightmost bin closed).
+    `out`, an array of x's shape other than x, receives the result."""
     breakpoints, levels = _lut_tables(lut.levels)
     arr = np.asarray(x, dtype=np.float64)
-    idx = np.searchsorted(breakpoints, arr, side="right") - 1
-    idx = np.clip(idx, 0, lut.levels - 1)
-    out = levels[idx]
-    out = np.where(arr < -1.0, -1.0, out)
-    out = np.where(arr > 1.0, 1.0, out)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    idx = np.clip(np.searchsorted(breakpoints, arr, side="right") - 1,
+                  0, lut.levels - 1)
+    res = np.take(levels, idx, out=np.empty(arr.shape) if out is None else out)
+    np.copyto(res, -1.0, where=arr < -1.0)
+    np.copyto(res, 1.0, where=arr > 1.0)
+    if out is None and (np.isscalar(x) or np.ndim(x) == 0):
+        return float(res)
+    return res

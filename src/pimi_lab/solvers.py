@@ -11,10 +11,12 @@ sign(0) is +1, fixed. In quantized mode every arithmetic intermediate is
 truncated to the fixed-point grid and tanh goes through the lookup table;
 recorded energies always use the raw couplings in full precision.
 
-`run_batch` is the one engine: it runs trials in vectorized blocks of 64
-(grouped trials, as the hardware kernels do) whatever the problem shape;
-block boundaries depend only on the trial count, never on the worker count,
-so results are reproducible for any `workers`.
+`run_batch` is the one engine: it runs trials in vectorized blocks
+(grouped trials, as the hardware kernels do) whatever the problem shape. A
+block is a stack of whole same-size instances: 64 trials of one instance,
+or as many instances with fewer trials as fit in 256 rows. Block boundaries
+depend only on the problem shape, never on the worker count, so results are
+reproducible for any `workers`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 from .core import (
     ConfigError,
     DimensionError,
-    IsingInstance,
     Schedule,
     ScheduleKind,
     TrialRecord,
@@ -181,6 +182,10 @@ def schedule_for_solver(kind: SolverKind, family: str, n: int,
         sk = ScheduleKind.PIMI_BENCH if kind is SolverKind.PIMI else ScheduleKind.CONV_BENCH
         params = default_schedule_params(sk, family, n)
     if overrides:
+        unknown = sorted(set(overrides) - set(params))
+        if unknown:
+            raise ConfigError(f"unknown {sk.value} schedule parameters {unknown}; "
+                              f"known: {sorted(params)}")
         params.update(overrides)
     return make_schedule(sk, params, t_steps)
 
@@ -190,9 +195,12 @@ def schedule_for_solver(kind: SolverKind, family: str, n: int,
 
 @dataclass(frozen=True)
 class _QuantTables:
+    """A block's fixed-point operands; jq, hq and scale_q have the shapes
+    of the block's couplings, bias and scale operands."""
+
     jq: np.ndarray
     hq: np.ndarray
-    scale_q: float
+    scale_q: np.ndarray
     beta_q: np.ndarray
     eta_q: np.ndarray
     xi_q: float
@@ -202,41 +210,60 @@ class _QuantTables:
     add_bias: bool
 
 
-def _quantized_tables(inst: IsingInstance, sched: Schedule,
-                      quant: Quantization) -> _QuantTables:
+def _quantized_tables(j: np.ndarray, h: np.ndarray, scale: np.ndarray,
+                      sched: Schedule, quant: Quantization) -> _QuantTables:
+    """Tables of a block whose instances have couplings `j`, bias `h` and
+    field scale `scale`. An instance that does not scale, in a block where
+    another does, scales by exactly 1; one without bias adds exactly 0:
+    neither moves a value that is on the grid."""
     fmt = quant.fmt
+    scaled = scale != 1.0
     return _QuantTables(
-        jq=quantize(inst.j, fmt),
-        hq=quantize(inst.h, fmt),
-        scale_q=quantize(inst.field_scale, fmt),
+        jq=quantize(j, fmt),
+        hq=quantize(h, fmt),
+        scale_q=np.where(scaled, quantize(scale, fmt), 1.0),
         beta_q=quantize(sched.beta, fmt),
         eta_q=quantize(sched.eta, fmt),
         xi_q=quantize(sched.xi, fmt),
         fmt=fmt,
         lut=quant.lut,
-        apply_scale=inst.field_scale != 1.0,
-        add_bias=bool(np.any(inst.h != 0.0)),
+        apply_scale=bool(np.any(scaled)),
+        add_bias=bool(np.any(h != 0.0)),
     )
 
 
-def _quantized_update(acc, hq, s, t, q: _QuantTables, draws, with_inertia: bool):
-    """Quantized update from an accumulated field `acc` (the caller's
-    `S @ jq` for all spins, or `S @ jq[i]` for one spin i, with `hq` and `s`
-    the matching bias and pre-step spins). All intermediates share the
-    format: the accumulated field, the post-scaling product, the bias add,
-    beta*I, the LUT output, xi*s, the noise sample and its eta product, and
-    each add of the final sum."""
+def _quantized_update(acc, hq, scale_q, s, t, q: _QuantTables, draws,
+                      with_inertia: bool, z, term):
+    """Quantized update from an accumulated field `acc` (the block's
+    `S @ jq` for all spins, or `S @ jq[i]` for one spin i, with `hq`,
+    `scale_q` and `s` the matching bias, scale and pre-step spins),
+    computed in place: `acc` is overwritten and `z`, returned, and `term`
+    are buffers of its shape. All intermediates share the format: the
+    accumulated field, the post-scaling product, the bias add, beta*I, the
+    LUT output, xi*s, the noise sample and its eta product, and each add of
+    the final sum."""
     fmt = q.fmt
-    field = quantize(acc, fmt)
+    quantize(acc, fmt, out=acc)
     if q.apply_scale:
-        field = quantize(q.scale_q * field, fmt)
+        np.multiply(scale_q, acc, out=acc)
+        quantize(acc, fmt, out=acc)
     if q.add_bias:
-        field = quantize(field + hq, fmt)
-    drive = quantize(lut_tanh(quantize(q.beta_q[t] * field, fmt), q.lut), fmt)
+        acc += hq
+        quantize(acc, fmt, out=acc)
+    np.multiply(q.beta_q[t], acc, out=acc)
+    quantize(acc, fmt, out=acc)
+    lut_tanh(acc, q.lut, out=z)
+    quantize(z, fmt, out=z)
     if with_inertia:
-        drive = quantize(drive + quantize(q.xi_q * s, fmt), fmt)
-    noise_term = quantize(q.eta_q[t] * quantize(draws, fmt), fmt)
-    return _sign_pm1(quantize(drive + noise_term, fmt))
+        np.multiply(q.xi_q, s, out=term)
+        quantize(term, fmt, out=term)
+        z += term
+        quantize(z, fmt, out=z)
+    quantize(draws, fmt, out=term)
+    np.multiply(q.eta_q[t], term, out=term)
+    quantize(term, fmt, out=term)
+    z += term
+    return quantize(z, fmt, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +276,32 @@ def derive_trial_seed(base_seed: int, instance_index: int, trial_index: int) -> 
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def trial_setup(n: int, trial_seed: int):
-    """Initial random spins and the noise generator for one trial, both
-    derived deterministically from the trial seed."""
-    init_ss, noise_ss = np.random.SeedSequence(int(trial_seed)).spawn(2)
-    init = random_spins(n, np.random.default_rng(init_ss))
+def trial_setup(n: int, trial_seed: int, init_state: np.ndarray | None = None):
+    """Initial spins and the noise generator of one trial, both derived
+    deterministically from the trial seed, which spawns an init and a noise
+    stream. Given `init_state`, the trial starts there and the init stream
+    is not drawn; the noise stream is the same either way."""
+    if init_state is None:
+        init_ss, noise_ss = np.random.SeedSequence(int(trial_seed)).spawn(2)
+        init = random_spins(n, np.random.default_rng(init_ss))
+    else:
+        # the second child of spawn(2), made alone
+        noise_ss = np.random.SeedSequence(int(trial_seed), spawn_key=(1,))
+        init = init_state
     noise_seed = int(noise_ss.generate_state(1, np.uint64)[0])
     return init, np.random.default_rng(noise_seed)
 
 
-_BLOCK_TRIALS = 64
+_BLOCK_TRIALS = 64   # trials of one instance per block
+_BLOCK_ROWS = 256    # rows (instances x trials) of a block of stacked instances
 _NOISE_CHUNK_BYTES = 4 * 1024 * 1024  # a block's noise buffer, refilled every chunk
+
+
+def instances_per_block(n_trials: int) -> int:
+    """Same-size instances that share one engine block: one where an
+    instance's trials fill blocks of _BLOCK_TRIALS by themselves, otherwise
+    as many whole instances as fit in _BLOCK_ROWS rows."""
+    return 1 if n_trials >= _BLOCK_TRIALS else max(1, _BLOCK_ROWS // n_trials)
 
 
 def _best_so_far(energies: np.ndarray) -> list[tuple[float, int, list]]:
@@ -286,94 +328,124 @@ def _best_so_far(energies: np.ndarray) -> list[tuple[float, int, list]]:
     return out
 
 
-def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
-               base_seed: int, instance_index: int, trial_indices,
-               record_trajectory: bool, record_states: bool,
+def _run_block(insts, seed_keys, kind: SolverKind, sched: Schedule,
+               trial_indices, record_trajectory: bool, record_states: bool,
                quantization: Quantization | None,
-               init_state: np.ndarray | None) -> list[TrialRecord]:
-    """Vectorized engine: runs a block of trials of one instance together.
+               init_state: np.ndarray | None) -> list[list[TrialRecord]]:
+    """Vectorized engine: runs the same trials of K same-size instances
+    together as one block of spins, (B, N) for one instance and (K, B, N)
+    for a stack, with stacked couplings and a batched `S @ J`. Returns each
+    instance's records.
 
-    Each trial's seed, initial state and noise stream depend only on
-    (base_seed, instance_index, trial index); the arithmetic is grouped
-    across trials. `init_state`, when given, replaces every trial's random
-    initial spins with the same fixed configuration (noise streams stay
-    per-trial). Noise is drawn a chunk of steps at a time from each trial's
-    generator, which gives the same stream as one whole-run draw.
+    Each trial's seed, initial state and noise stream depend only on its
+    instance's (base_seed, instance_index) key in `seed_keys` and its trial
+    index; each instance's arithmetic is that of a block of its own B
+    trials. `init_state`, when given, replaces every trial's random initial
+    spins with the same fixed configuration (noise streams stay per-trial).
+    Noise is drawn a chunk of steps at a time from each trial's generator,
+    which gives the same stream as one whole-run draw.
     """
-    n = inst.n
+    K, B, n = len(insts), len(trial_indices), insts[0].n
+    rows = K * B
+    # one instance steps as a (B, N) block, a stack of them as (K, B, N)
+    lead = () if K == 1 else (K,)
     T = sched.t_steps
-    B = len(trial_indices)
     seq = kind is SolverKind.CONV_SEQUENTIAL
     with_inertia = kind is SolverKind.PIMI
 
-    seeds = [derive_trial_seed(base_seed, instance_index, k) for k in trial_indices]
-    S = np.empty((B, n))
+    seeds = [derive_trial_seed(base, idx, k) for base, idx in seed_keys
+             for k in trial_indices]
+    S = np.empty(lead + (B, n))
+    flat = S.reshape(rows, n)
     rngs = []
-    for b, ts in enumerate(seeds):
-        init, rng = trial_setup(n, ts)
-        S[b] = init if init_state is None else init_state
+    for r, ts in enumerate(seeds):
+        flat[r], rng = trial_setup(n, ts, init_state)
         rngs.append(rng)
 
-    # one draw per step for conv-seq, one per spin and step otherwise
+    # one draw per step for conv-seq, one per spin and step otherwise; a
+    # block of K stacked instances gets 1/K of the buffer budget, since its
+    # instances are small and the buffer would dominate their memory
     width = () if seq else (n,)
-    chunk = max(1, min(T, _NOISE_CHUNK_BYTES // (8 * B * (1 if seq else n))))
-    noise = np.empty((B, chunk) + width)
+    budget = _NOISE_CHUNK_BYTES // K
+    chunk = max(1, min(T, budget // (8 * rows * (1 if seq else n))))
+    noise = np.empty(lead + (B, chunk) + width)
+    noise_rows = noise.reshape((rows, chunk) + width)
+    at_step = (slice(None),) * (len(lead) + 1)  # indexes the chunk axis
 
     def draws(t: int) -> np.ndarray:
         c = t % chunk
         if c == 0:
             m = min(chunk, T - t)
-            for b, rng in enumerate(rngs):
+            for r, rng in enumerate(rngs):
                 # inertial dynamics draw N(0,1), conventional ones U(-1,1)
                 if with_inertia:
-                    rng.standard_normal(out=noise[b, :m])
+                    rng.standard_normal(out=noise_rows[r, :m])
                 else:
-                    noise[b, :m] = rng.uniform(-1.0, 1.0, (m,) + width)
-        return noise[:, c]
+                    noise_rows[r, :m] = rng.uniform(-1.0, 1.0, (m,) + width)
+        return noise[at_step + (c,)]
 
-    j_raw = inst.j
-    h = inst.h
-    scale = inst.field_scale
-    qt = _quantized_tables(inst, sched, quantization) if quantization else None
+    J = np.stack([inst.j for inst in insts]).reshape(lead + (n, n))
+    h = np.stack([inst.h for inst in insts]).reshape(lead + (n,))
+    scale = np.array([inst.field_scale for inst in insts]).reshape(lead)
+    # bias and scale against the block's spins: one instance's as they are
+    # (a vector and a 0-d array, the cheapest operands), a stack's on its
+    # instance axis
+    if lead:
+        H, scale = h[:, None, :], scale[:, None, None]
+    else:
+        H = h
+    qt = _quantized_tables(J, H, scale, sched, quantization) if quantization else None
     beta, eta, xi = sched.beta, sched.eta, sched.xi
 
     # energies[t] is the full-precision energy after step t
-    energies = np.empty((T, B))
-    states = np.empty((T + 1, B, n), dtype=np.int8) if record_states else None
+    energies = np.empty((T,) + lead + (B,))
+    states = np.empty((T + 1,) + lead + (B, n), dtype=np.int8) if record_states else None
     if states is not None:
         states[0] = S
 
     if seq:
-        prev = block_energies(inst, S)
+        # spin i's coupling column, bias and scale, against lead + (B,) rows
+        cols = np.moveaxis(J, -2, 0)[..., None]
+        h_cols = np.moveaxis(H, -1, 0)
+        scale_rows = scale.reshape(scale.shape[:-1])
+        if qt is not None:
+            q_cols = np.moveaxis(qt.jq, -2, 0)[..., None]
+            q_h_cols = np.moveaxis(qt.hq, -1, 0)
+            q_scale_rows = qt.scale_q.reshape(qt.scale_q.shape[:-1])
+            z = np.empty(lead + (B,))
+            term = np.empty(lead + (B,))
+        prev = block_energies(J, h, S)
         for t in range(T):
             i = t % n
-            s_i = S[:, i]
-            acc_i = S @ j_raw[i]
+            s_i = S[..., i]
+            h_i = h_cols[i]
+            field = np.matmul(S, cols[i])[..., 0]
             if qt is None:
-                z = np.tanh(beta[t] * (scale * acc_i + h[i])) + eta[t] * draws(t)
-                new = _sign_pm1(z)
+                new = _sign_pm1(np.tanh(beta[t] * (scale_rows * field + h_i))
+                                + eta[t] * draws(t))
             else:
-                new = _quantized_update(S @ qt.jq[i], qt.hq[i], s_i, t, qt,
-                                        draws(t), with_inertia=False)
-            np.add(prev, np.where(new != s_i, 2.0 * s_i * (acc_i + h[i]), 0.0),
+                new = _sign_pm1(_quantized_update(
+                    np.matmul(S, q_cols[i])[..., 0], q_h_cols[i], q_scale_rows,
+                    s_i, t, qt, draws(t), False, z, term))
+            np.add(prev, np.where(new != s_i, 2.0 * s_i * (field + h_i), 0.0),
                    out=energies[t])
             prev = energies[t]
-            S[:, i] = new
+            S[..., i] = new
             if states is not None:
                 states[t + 1] = S
     else:
-        acc = np.empty((B, n))
-        z = np.empty((B, n))
-        term = np.empty((B, n))
-        up = np.empty((B, n), dtype=bool)
+        acc = np.empty(S.shape)
+        z = np.empty(S.shape)
+        term = np.empty(S.shape)
+        up = np.empty(S.shape, dtype=bool)
         for t in range(T):
             if qt is None:
-                np.matmul(S, j_raw, out=acc)
+                np.matmul(S, J, out=acc)
                 if t > 0:
-                    energies[t - 1] = block_energies(inst, S, acc)
+                    energies[t - 1] = block_energies(J, h, S, acc)
                 # z = tanh(beta (scale acc + h)) [+ xi S] + eta draw, in place
                 np.multiply(acc, scale, out=z)
-                z += h
+                z += H
                 z *= beta[t]
                 np.tanh(z, out=z)
                 if with_inertia:
@@ -381,36 +453,40 @@ def _run_block(inst: IsingInstance, kind: SolverKind, sched: Schedule,
                     z += term
                 np.multiply(draws(t), eta[t], out=term)
                 z += term
-                # sign with sign(0) = +1
-                np.greater_equal(z, 0.0, out=up)
-                np.copyto(S, up)
-                S *= 2.0
-                S -= 1.0
             else:
                 if t > 0:
-                    energies[t - 1] = block_energies(inst, S)
-                S = _quantized_update(S @ qt.jq, qt.hq, S, t, qt, draws(t),
-                                      with_inertia)
+                    energies[t - 1] = block_energies(J, h, S)
+                np.matmul(S, qt.jq, out=acc)
+                _quantized_update(acc, qt.hq, qt.scale_q, S, t, qt, draws(t),
+                                  with_inertia, z, term)
+            # sign with sign(0) = +1
+            np.greater_equal(z, 0.0, out=up)
+            np.copyto(S, up)
+            S *= 2.0
+            S -= 1.0
             if states is not None:
                 states[t + 1] = S
-        energies[T - 1] = block_energies(inst, S)
+        energies[T - 1] = block_energies(J, h, S)
 
     records = []
-    for b, (best, best_step, improvements) in enumerate(_best_so_far(energies)):
+    per_trial = energies.reshape(T, rows)
+    trial_states = states.reshape(T + 1, rows, n) if states is not None else None
+    for r, (best, best_step, improvements) in enumerate(_best_so_far(per_trial)):
         records.append(TrialRecord(
             best_energy=best,
             best_step=best_step,
-            final_spins=S[b].copy(),
-            seed=seeds[b],
+            final_spins=flat[r].copy(),
+            seed=seeds[r],
             improvements=improvements,
-            energy_trajectory=energies[:, b].copy() if record_trajectory else None,
-            state_trajectory=states[:, b, :].copy() if states is not None else None,
+            energy_trajectory=per_trial[:, r].copy() if record_trajectory else None,
+            state_trajectory=(trial_states[:, r].copy() if states is not None
+                              else None),
         ))
-    return records
+    return [records[k * B:(k + 1) * B] for k in range(K)]
 
 
 def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
-              base_seed: int, workers: int = 1,
+              base_seed: int | list[int], workers: int = 1,
               record_trajectory: bool = False,
               record_states: bool = False,
               quantization: Quantization | None = None,
@@ -418,13 +494,19 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
     """Run n_trials per instance; returns records ordered by
     (instance index, trial index) regardless of worker scheduling.
 
-    Trials are grouped into fixed-size blocks and the block tasks are
-    consumed from a shared queue by the worker pool; per-trial seeds are
-    derived from (base_seed, instance index, trial index), so the result
-    set is independent of scheduling. Each trial's noise stream, U(-1,1)
-    for the conventional kinds and N(0,1) for pimi, is drawn a chunk of
-    steps at a time into a buffer of a few MiB per block; the chunks join
-    up to the stream one whole-run draw gives.
+    `base_seed` is one integer, and instance i's trials take their seeds
+    from (base_seed, i, trial index); or it is a sequence of one base seed
+    per instance, and instance i's from (base_seed[i], 0, trial index).
+    The instances run in blocks formed from the problem shape alone, never
+    from the worker count: an instance with at least _BLOCK_TRIALS trials
+    runs alone in blocks of that many trials; instances with fewer run
+    whole, as many consecutive same-size ones per block as
+    `instances_per_block` gives. The block tasks are consumed from a shared
+    queue by the worker pool, so the result set is independent of
+    scheduling. Each trial's noise stream, U(-1,1) for the conventional
+    kinds and N(0,1) for pimi, is drawn a chunk of steps at a time into a
+    buffer of a few MiB per block; the chunks join up to the stream one
+    whole-run draw gives.
 
     The trajectories hold the full-precision energy of the state after each
     update step (the initial state is not part of the trajectory), and
@@ -438,6 +520,13 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     instances = list(instances)
+    if np.ndim(base_seed) == 0:
+        seed_keys = [(int(base_seed), i) for i in range(len(instances))]
+    else:
+        seed_keys = [(int(seed), 0) for seed in base_seed]
+        if len(seed_keys) != len(instances):
+            raise ConfigError(f"{len(seed_keys)} base seeds for "
+                              f"{len(instances)} instances")
     if not instances:
         return []
     if init_state is not None:
@@ -448,26 +537,32 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
                     f"initial state of shape {init_state.shape} does not "
                     f"match instance size {inst.n}")
 
-    block = _BLOCK_TRIALS
+    per_block = instances_per_block(n_trials)
+    groups = []  # runs of consecutive same-size instances, cut per block
+    for i, inst in enumerate(instances):
+        last = groups[-1] if groups else []
+        if 0 < len(last) < per_block and instances[last[0]].n == inst.n:
+            last.append(i)
+        else:
+            groups.append([i])
     tasks = []
-    for i_idx, inst in enumerate(instances):
-        for start in range(0, n_trials, block):
-            trial_indices = list(range(start, min(start + block, n_trials)))
-            tasks.append((inst, kind, sched, base_seed, i_idx, trial_indices,
-                          record_trajectory, record_states, quantization,
-                          init_state))
+    for group in groups:
+        for start in range(0, n_trials, _BLOCK_TRIALS):
+            trial_indices = list(range(start, min(start + _BLOCK_TRIALS, n_trials)))
+            tasks.append((group, ([instances[i] for i in group],
+                                  [seed_keys[i] for i in group], kind, sched,
+                                  trial_indices, record_trajectory,
+                                  record_states, quantization, init_state)))
 
     if workers == 1:
-        chunks = [_run_block(*task) for task in tasks]
+        chunks = [_run_block(*args) for _, args in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, *task) for task in tasks]
+            futures = [pool.submit(_run_block, *args) for _, args in tasks]
             chunks = [future.result() for future in futures]
 
     results: list[list[TrialRecord]] = [[] for _ in instances]
-    task_idx = 0
-    for i_idx, _ in enumerate(instances):
-        for _ in range(0, n_trials, block):
-            results[i_idx].extend(chunks[task_idx])
-            task_idx += 1
+    for (group, _), per_instance in zip(tasks, chunks):
+        for i, records in zip(group, per_instance):
+            results[i].extend(records)
     return results

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -339,6 +340,20 @@ class TestExperiments:
             rows = {r["xi"]: float(r["mean_p_nt"]) for r in csv.DictReader(f)}
         assert rows["0.9"] < rows["0.0"]
 
+    def test_flip_rate_without_neighbour_flips_warns_nothing(self, tmp_path):
+        # at xi = 0.9 no step of this short SK-1 run has a neighbour flip:
+        # its mean stays an empty cell, and no "Mean of empty slice" shows
+        text = ("schema_version = 1\nfamily = flip-rate\nseed = 0\n"
+                f"out = {tmp_path / 'fr'}\n"
+                "problem = sk1\nn = 8\ntrials = 4\nsteps = 20\nxi = 0.0,0.9\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_experiment(parse_manifest_text(text)) == 0
+        with open(tmp_path / "fr" / "pnt_summary.csv", newline="") as f:
+            rows = {r["xi"]: r["mean_p_nt"] for r in csv.DictReader(f)}
+        assert rows["0.9"] == ""
+        assert float(rows["0.0"]) > 0.0
+
     @pytest.mark.parametrize("drive", ["fixed", "annealed"])
     def test_flip_rate_family_pnt_matches_stage(self, tmp_path, drive):
         # the family computes P_NT from its records in memory; the flip-rate
@@ -406,9 +421,12 @@ _BAD_INPUTS = {
     "schedule-not-json": (_solve(schedule="{not_json}"), "{not_json}"),
     "schedule-no-family": (_solve(schedule="{sched_no_family}"), "{sched_no_family}"),
     "schedule-non-numeric": (_solve(schedule="{sched_bad_param}"), "'xi'"),
+    "schedule-unknown-param": (_solve(schedule="{sched_unknown_param}"), "'xii'"),
     "experiment-manifest-missing": (["experiment", "--manifest", "{missing}"],
                                     "{missing}"),
     "report-archive-missing": (["report", "--archive", "{out}"], "{out}"),
+    "report-landscape-malformed": (["report", "--archive", "{archive}", "--out", "{out}"],
+                                   "{landscape}"),
     "ccts-records-missing": (_ccts(records="{missing}"), "{missing}"),
     "ccts-ground-missing": (_ccts(ground="{missing}"), "{missing}"),
     "flip-rate-records-missing": (["flip-rate", "--records", "{missing}", "--instance",
@@ -450,12 +468,18 @@ def boundary_inputs(tmp_path):
         "gs_no_energy.json": json.dumps({inst.name: {"method": "exhaustive"}}),
         "sched_no_family.json": json.dumps({"params": {}}),
         "sched_bad_param.json": json.dumps({"family": "maxcut", "params": {"xi": "high"}}),
+        "sched_unknown_param.json": json.dumps({"family": "maxcut",
+                                                "params": {"xii": 0.0}}),
         "flip.manifest": _GOOD_MANIFESTS["flip-rate"] + f"out = {tmp_path / 'out'}\n",
     }
     for name, text in files.items():
         (d / name).write_text(text)
+    landscape = d / "archive" / "landscape_pimi_n6.csv"
+    landscape.parent.mkdir()
+    landscape.write_text("T_steps,p_mean,p_logstd,n_trials,ccts\nx,0.5,0.1,10,100\n")
     return {"inst": inst, "rec": d / "rec.jsonl", "gs": d / "gs.json",
             "missing": d / "missing.json", "out": tmp_path / "out",
+            "archive": landscape.parent, "landscape": landscape,
             **{name.split(".")[0]: d / name for name in files}}
 
 

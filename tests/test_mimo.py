@@ -29,7 +29,8 @@ from pimi_lab.mimo import (
     to_real,
     zero_correction_spins,
 )
-from pimi_lab.solvers import SolverKind
+from pimi_lab.quantize import FixedPointFormat, TanhLut
+from pimi_lab.solvers import Quantization, SolverKind
 
 
 class TestGrayMapping:
@@ -313,11 +314,40 @@ class TestDetect:
         cfg = DetectorConfig(kind="pimi", trials=16, steps=32)
         assert ber(hi, cfg, base_seed=1) <= ber(lo, cfg, base_seed=1)
 
+    @pytest.mark.parametrize("kind, quantized, steps", [
+        ("pimi", False, 4), ("pimi", True, 4), ("conv-par", True, 4),
+        ("conv-seq", False, 64)])
+    def test_ber_over_groups_equals_per_scenario_detect(self, kind, quantized, steps):
+        # 40 scenarios at 8 trials run as groups of 32 and 8 stacked
+        # instances; scenario idx is detected with base seed
+        # SeedSequence([base_seed, idx]). Few trials and steps leave each
+        # BER sensitive to its seeds.
+        scenarios = [gen_scenario(4, 4, 16, 4.0, 40 + i) for i in range(40)]
+        quant = (Quantization(FixedPointFormat(16, 4), TanhLut(4))
+                 if quantized else None)
+        cfg = DetectorConfig(kind=kind, trials=8, steps=steps, quantization=quant)
+        per_scenario = [detect(sc, cfg, base_seed=scenario_seed(7, idx)).ber
+                        for idx, sc in enumerate(scenarios)]
+        assert sum(per_scenario) > 0
+        assert ber(scenarios, cfg, base_seed=7) == float(np.mean(per_scenario))
+
+    def test_ber_over_mixed_shapes_equals_per_scenario_detect(self):
+        scenarios = [gen_scenario(2, 2, 4, 2.0, 60 + i) if i % 2 else
+                     gen_scenario(4, 4, 16, 4.0, 60 + i) for i in range(9)]
+        cfg = DetectorConfig(kind="pimi", trials=16, steps=16)
+        per_scenario = [detect(sc, cfg, base_seed=scenario_seed(3, idx)).ber
+                        for idx, sc in enumerate(scenarios)]
+        assert ber(scenarios, cfg, base_seed=3) == float(np.mean(per_scenario))
+
     def test_ber_bounds(self):
         sc = gen_scenario(2, 2, 4, math.inf, 5)
         assert ber([sc], DetectorConfig(kind="mmse")) == 0.0
         with pytest.raises(ConfigError):
             ber([], DetectorConfig(kind="mmse"))
+
+
+def scenario_seed(base_seed, idx):
+    return int(np.random.SeedSequence([base_seed, idx]).generate_state(1, np.uint64)[0])
 
 
 class TestConstants:

@@ -227,6 +227,15 @@ class TestNoiseSource:
         assert np.array_equal(init_a, init_b)
         assert np.array_equal(rng_a.standard_normal(100), rng_b.standard_normal(100))
 
+    def test_given_init_state_keeps_noise_stream(self):
+        # a given initial state skips the init draw; the noise stream is a
+        # separate spawn, so it does not move
+        init, rng = trial_setup(8, 5)
+        given = -np.ones(8)
+        start, rng_given = trial_setup(8, 5, given)
+        assert start is given
+        assert np.array_equal(rng.standard_normal(100), rng_given.standard_normal(100))
+
     def test_uniform_range(self):
         # conv kinds draw U(-1,1): a drive saturated at tanh = 1 is never
         # overturned by a draw, and at zero drive the draw's sign is balanced
@@ -356,41 +365,52 @@ class TestRunBatch:
     @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
                                       SolverKind.CONV_SEQUENTIAL])
     def test_noise_chunks_match_whole_run_draws(self, monkeypatch, kind):
-        # a noise buffer of 40 steps: a 150-step run refills it at steps 40,
-        # 80 and 120 and ends on a partial chunk of 30 steps
-        n, trials, t_steps = 9, 3, 150
+        # one block of two stacked instances with a noise buffer of 40 steps:
+        # a 150-step run refills it at steps 40, 80 and 120 and ends on a
+        # partial chunk of 30 steps (a block of K instances gets 1/K of the
+        # buffer budget)
+        n, trials, t_steps, seeds = 9, 3, 150, [12, 13]
         width = 1 if kind is SolverKind.CONV_SEQUENTIAL else n
-        monkeypatch.setattr(solvers, "_NOISE_CHUNK_BYTES", 40 * 8 * trials * width)
-        inst = gen_sk1(GeneratorSpec(Family.SK_ONE, n, 4))
+        rows = len(seeds) * trials
+        monkeypatch.setattr(solvers, "_NOISE_CHUNK_BYTES",
+                            40 * 8 * rows * width * len(seeds))
+        insts = [gen_sk1(GeneratorSpec(Family.SK_ONE, n, s)) for s in (4, 5)]
         sched = schedule_for_solver(kind, "sk1", n, t_steps)
         q83 = Quantization(FixedPointFormat(8, 3), TanhLut(4))
         for quantization, quant in ((None, None), (q83, (8, 3, 4))):
-            batch = run_batch([inst], kind, sched, trials, base_seed=12,
+            batch = run_batch(insts, kind, sched, trials, base_seed=seeds,
                               quantization=quantization,
-                              record_trajectory=True, record_states=True)[0]
-            for t_idx, rec in enumerate(batch):
-                init, draws = trial_noise(kind, n, t_steps,
-                                          derive_trial_seed(12, 0, t_idx))
-                states, energies = reference_trial(inst, kind, sched, init, draws,
-                                                   quant=quant)
-                assert np.array_equal(rec.state_trajectory, states)
-                assert np.array_equal(rec.final_spins, states[-1])
-                assert np.array_equal(rec.energy_trajectory, energies)
-                assert rec.improvements == improvements_of(energies)
+                              record_trajectory=True, record_states=True)
+            for inst, seed, recs in zip(insts, seeds, batch, strict=True):
+                for t_idx, rec in enumerate(recs):
+                    init, draws = trial_noise(kind, n, t_steps,
+                                              derive_trial_seed(seed, 0, t_idx))
+                    states, energies = reference_trial(inst, kind, sched, init,
+                                                       draws, quant=quant)
+                    assert np.array_equal(rec.state_trajectory, states)
+                    assert np.array_equal(rec.final_spins, states[-1])
+                    assert np.array_equal(rec.energy_trajectory, energies)
+                    assert rec.improvements == improvements_of(energies)
 
     @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
                                       SolverKind.CONV_SEQUENTIAL])
     def test_records_independent_of_block_partition(self, monkeypatch, kind):
-        inst, _ = gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 12, 3))
+        # by default the three instances share one block of 3 x 37 rows;
+        # the other partitions run 2 + 1 stacked instances, or each instance
+        # alone in blocks of 16 or 4 trials
+        insts = [gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 12, s))[0]
+                 for s in (3, 4, 5)]
         sched = schedule_for_solver(kind, "maxcut", 12, 600)
 
         def run():
-            return run_batch([inst], kind, sched, 37, base_seed=6,
-                             record_trajectory=True, record_states=True)[0]
+            out = run_batch(insts, kind, sched, 37, base_seed=6,
+                            record_trajectory=True, record_states=True)
+            return [rec for recs in out for rec in recs]
 
         default = run()
-        for block in (4, 16):
-            monkeypatch.setattr(solvers, "_BLOCK_TRIALS", block)
+        for block_trials, block_rows in ((64, 74), (16, 256), (4, 256)):
+            monkeypatch.setattr(solvers, "_BLOCK_TRIALS", block_trials)
+            monkeypatch.setattr(solvers, "_BLOCK_ROWS", block_rows)
             for a, b in zip(default, run(), strict=True):
                 assert a.best_energy == b.best_energy
                 assert a.best_step == b.best_step
@@ -408,6 +428,51 @@ class TestRunBatch:
             assert rec.best_energy == traj.min()
             assert rec.improvements == improvements_of(traj)
         assert revisits > 0
+
+    @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
+                                      SolverKind.CONV_SEQUENTIAL])
+    @pytest.mark.parametrize("fmt", [None, (16, 4), (8, 3)],
+                             ids=["float", "q16.4", "q8.3"])
+    @pytest.mark.parametrize("n_trials", [32, 70])
+    def test_stacked_blocks_match_single_instance_calls(self, kind, fmt, n_trials):
+        # ten instances with real-valued couplings, each with its own base
+        # seed: at 32 trials they run stacked in blocks of 8 + 2 instances,
+        # at 70 each runs alone in blocks of 64 + 6 trials. Biases and field
+        # scales differ within a block, so the quantized path scales by
+        # exactly 1 or adds exactly 0 for some of its instances.
+        rng = np.random.default_rng(17)
+        n, t_steps = 9, 40
+        insts = []
+        for k in range(10):
+            a = np.triu(rng.standard_normal((n, n)) * 0.8, 1)
+            h = rng.standard_normal(n) if k % 3 else np.zeros(n)
+            insts.append(IsingInstance(n, a + a.T, h, f"real{k}",
+                                       field_scale=0.7 if k % 2 else 1.0))
+        seeds = [int(v) for v in rng.integers(0, 2**32, len(insts))]
+        sched = schedule_for_solver(kind, "sk1", n, t_steps)
+        quant = (Quantization(FixedPointFormat(*fmt), TanhLut(4))
+                 if fmt else None)
+        stacked = run_batch(insts, kind, sched, n_trials, base_seed=seeds,
+                            quantization=quant, record_trajectory=True,
+                            record_states=True)
+        for inst, seed, recs in zip(insts, seeds, stacked, strict=True):
+            alone = run_batch([inst], kind, sched, n_trials, base_seed=seed,
+                              quantization=quant, record_trajectory=True,
+                              record_states=True)[0]
+            for a, b in zip(alone, recs, strict=True):
+                assert a.best_energy == b.best_energy
+                assert a.best_step == b.best_step
+                assert a.seed == b.seed
+                assert a.improvements == b.improvements
+                assert np.array_equal(a.final_spins, b.final_spins)
+                assert np.array_equal(a.energy_trajectory, b.energy_trajectory)
+                assert np.array_equal(a.state_trajectory, b.state_trajectory)
+
+    def test_base_seed_per_instance_count_must_match(self):
+        inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 0))
+        sched = const_schedule(1.0, 0.1, 0.0, 5)
+        with pytest.raises(ConfigError):
+            run_batch([inst, inst], SolverKind.PIMI, sched, 2, base_seed=[1])
 
     def test_best_step_is_first_visit_of_minimum(self):
         # the conv-par ferromagnet oscillates between two states of energy +1,
