@@ -411,6 +411,9 @@ def ber(scenarios, config: DetectorConfig, base_seed: int = 0) -> float:
         raise ConfigError("ber needs at least one scenario")
     seeds = [int(np.random.SeedSequence([int(base_seed), idx]).generate_state(
         1, np.uint64)[0]) for idx in range(len(scenarios))]
+    # build anchors and problems lazily, one engine block of scenarios at a
+    # time, to bound memory; this grouping mirrors run_batch's (workers=1)
+    # so that each _detect_group call is one block
     size = instances_per_block(config.trials)
     fractions = []
     for start in range(0, len(scenarios), size):

@@ -497,16 +497,18 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
     `base_seed` is one integer, and instance i's trials take their seeds
     from (base_seed, i, trial index); or it is a sequence of one base seed
     per instance, and instance i's from (base_seed[i], 0, trial index).
-    The instances run in blocks formed from the problem shape alone, never
-    from the worker count: an instance with at least _BLOCK_TRIALS trials
-    runs alone in blocks of that many trials; instances with fewer run
-    whole, as many consecutive same-size ones per block as
-    `instances_per_block` gives. The block tasks are consumed from a shared
+    The instances run in blocks: an instance with at least _BLOCK_TRIALS
+    trials runs alone in blocks of that many trials; instances with fewer
+    run whole, as many consecutive same-size ones per block as
+    `instances_per_block` gives, and with several workers no more than
+    there are instances per worker, so every worker has a block. No record
+    depends on the cut, since each instance's arithmetic in a block is that
+    of its trials run alone. The block tasks are consumed from a shared
     queue by the worker pool, so the result set is independent of
-    scheduling. Each trial's noise stream, U(-1,1) for the conventional
-    kinds and N(0,1) for pimi, is drawn a chunk of steps at a time into a
-    buffer of a few MiB per block; the chunks join up to the stream one
-    whole-run draw gives.
+    scheduling and of the worker count. Each trial's noise stream, U(-1,1)
+    for the conventional kinds and N(0,1) for pimi, is drawn a chunk of
+    steps at a time into a buffer of a few MiB per block; the chunks join
+    up to the stream one whole-run draw gives.
 
     The trajectories hold the full-precision energy of the state after each
     update step (the initial state is not part of the trajectory), and
@@ -538,6 +540,9 @@ def run_batch(instances, kind: SolverKind, sched: Schedule, n_trials: int,
                     f"match instance size {inst.n}")
 
     per_block = instances_per_block(n_trials)
+    if workers > 1:
+        # cut finer so every worker has a block; no record depends on the cut
+        per_block = min(per_block, -(-len(instances) // workers))
     groups = []  # runs of consecutive same-size instances, cut per block
     for i, inst in enumerate(instances):
         last = groups[-1] if groups else []

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -309,6 +310,39 @@ class TestRunBatch:
                 assert np.array_equal(a.final_spins, b.final_spins)
                 assert a.improvements == b.improvements
 
+    def test_every_worker_gets_a_block(self, monkeypatch):
+        # eight instances of 32 trials fill one block with one worker; with
+        # eight workers they run as eight blocks, with the same records
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(len(args[0]))
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        insts = [gen_sk1(GeneratorSpec(Family.SK_ONE, 8, s)) for s in range(8)]
+        sched = schedule_for_solver(SolverKind.PIMI, "sk1", 8, 30)
+        one = run_batch(insts, SolverKind.PIMI, sched, 32, base_seed=4)
+        monkeypatch.setattr(solvers, "ProcessPoolExecutor", InlinePool)
+        eight = run_batch(insts, SolverKind.PIMI, sched, 32, base_seed=4, workers=8)
+        assert submitted == [1] * 8
+        for recs1, recs8 in zip(one, eight, strict=True):
+            for a, b in zip(recs1, recs8, strict=True):
+                assert a.best_energy == b.best_energy
+                assert a.improvements == b.improvements
+                assert np.array_equal(a.final_spins, b.final_spins)
+
     def test_empty_instances(self):
         sched = const_schedule(1.0, 0.1, 0.0, 5)
         assert run_batch([], SolverKind.PIMI, sched, 4, base_seed=0) == []
@@ -365,32 +399,34 @@ class TestRunBatch:
     @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
                                       SolverKind.CONV_SEQUENTIAL])
     def test_noise_chunks_match_whole_run_draws(self, monkeypatch, kind):
-        # one block of two stacked instances with a noise buffer of 40 steps:
-        # a 150-step run refills it at steps 40, 80 and 120 and ends on a
-        # partial chunk of 30 steps (a block of K instances gets 1/K of the
-        # buffer budget)
-        n, trials, t_steps, seeds = 9, 3, 150, [12, 13]
+        # one block, of one instance and then of two stacked ones, with a
+        # noise buffer of 40 steps: a 150-step run refills it at steps 40, 80
+        # and 120 and ends on a partial chunk of 30 steps (a block of K
+        # instances gets 1/K of the buffer budget)
+        n, trials, t_steps = 9, 3, 150
         width = 1 if kind is SolverKind.CONV_SEQUENTIAL else n
-        rows = len(seeds) * trials
-        monkeypatch.setattr(solvers, "_NOISE_CHUNK_BYTES",
-                            40 * 8 * rows * width * len(seeds))
-        insts = [gen_sk1(GeneratorSpec(Family.SK_ONE, n, s)) for s in (4, 5)]
         sched = schedule_for_solver(kind, "sk1", n, t_steps)
         q83 = Quantization(FixedPointFormat(8, 3), TanhLut(4))
-        for quantization, quant in ((None, None), (q83, (8, 3, 4))):
-            batch = run_batch(insts, kind, sched, trials, base_seed=seeds,
-                              quantization=quantization,
-                              record_trajectory=True, record_states=True)
-            for inst, seed, recs in zip(insts, seeds, batch, strict=True):
-                for t_idx, rec in enumerate(recs):
-                    init, draws = trial_noise(kind, n, t_steps,
-                                              derive_trial_seed(seed, 0, t_idx))
-                    states, energies = reference_trial(inst, kind, sched, init,
-                                                       draws, quant=quant)
-                    assert np.array_equal(rec.state_trajectory, states)
-                    assert np.array_equal(rec.final_spins, states[-1])
-                    assert np.array_equal(rec.energy_trajectory, energies)
-                    assert rec.improvements == improvements_of(energies)
+        for seeds in ([12], [12, 13]):
+            rows = len(seeds) * trials
+            monkeypatch.setattr(solvers, "_NOISE_CHUNK_BYTES",
+                                40 * 8 * rows * width * len(seeds))
+            insts = [gen_sk1(GeneratorSpec(Family.SK_ONE, n, s))
+                     for s in (4, 5)[:len(seeds)]]
+            for quantization, quant in ((None, None), (q83, (8, 3, 4))):
+                batch = run_batch(insts, kind, sched, trials, base_seed=seeds,
+                                  quantization=quantization,
+                                  record_trajectory=True, record_states=True)
+                for inst, seed, recs in zip(insts, seeds, batch, strict=True):
+                    for t_idx, rec in enumerate(recs):
+                        init, draws = trial_noise(kind, n, t_steps,
+                                                  derive_trial_seed(seed, 0, t_idx))
+                        states, energies = reference_trial(inst, kind, sched, init,
+                                                           draws, quant=quant)
+                        assert np.array_equal(rec.state_trajectory, states)
+                        assert np.array_equal(rec.final_spins, states[-1])
+                        assert np.array_equal(rec.energy_trajectory, energies)
+                        assert rec.improvements == improvements_of(energies)
 
     @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
                                       SolverKind.CONV_SEQUENTIAL])
