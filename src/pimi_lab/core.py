@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,21 @@ def reading(path):
         yield
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
+
+
+def derive_seed(words, spawn_key=()) -> int:
+    """The first uint64 of SeedSequence(words, spawn_key): the one split by
+    which every instance, trial, scenario and noise seed is derived."""
+    ss = np.random.SeedSequence([int(w) for w in words], spawn_key=spawn_key)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def write_json(path, obj, **dump_options) -> None:
+    """Write `obj` as one JSON document and a newline, making the directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(obj, f, **dump_options)
+        f.write("\n")
 
 
 def as_spins(values: Sequence[float] | np.ndarray) -> SpinState:
@@ -101,9 +117,7 @@ class IsingInstance:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
-            f.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "IsingInstance":
@@ -241,8 +255,7 @@ def write_records_jsonl(path, records, extra=None) -> None:
 def read_records_jsonl(path):
     """Read TrialRecords from JSON lines; returns (records, extras)."""
     records, extras = [], []
-    known = {"best_energy", "best_step", "final_spins", "seed",
-             "improvements", "energy_trajectory", "state_trajectory"}
+    known = {f.name for f in fields(TrialRecord)}
     with open(path) as f, reading(path):
         for line in f:
             line = line.strip()

@@ -28,8 +28,10 @@ from .core import (
     IsingInstance,
     Schedule,
     ScheduleKind,
+    derive_seed,
     read_records_jsonl,
     reading,
+    write_json,
     write_records_jsonl,
 )
 from .instances import Family, GeneratorSpec, generate
@@ -276,8 +278,7 @@ def _read_options(family: str, options: dict) -> dict:
 
 
 def instance_seed(base_seed: int, n: int, index: int) -> int:
-    ss = np.random.SeedSequence([int(base_seed), int(n), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return derive_seed([base_seed, n, index])
 
 
 def stage_generate(family: Family, sizes, count: int, base_seed: int,
@@ -292,11 +293,8 @@ def stage_generate(family: Family, sizes, count: int, base_seed: int,
             payload = inst.to_json_dict()
             if edges is not None:
                 payload["edge_count"] = edges
-            out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"{family.value}_n{n}_i{k}.json"
-            with open(path, "w") as f:
-                json.dump(payload, f)
-                f.write("\n")
+            write_json(path, payload)
             paths.append(path)
     return paths
 
@@ -314,10 +312,7 @@ def stage_oracle(instance_paths, method: OracleMethod, out_path: Path,
             "method": res.method.value,
             "effort": res.effort,
         }
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as f:
-        json.dump(dict(sorted(table.items())), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out_path, dict(sorted(table.items())), indent=1, sort_keys=True)
     return table
 
 
@@ -349,6 +344,16 @@ def stage_solve(instance_paths, kind: SolverKind, family: str, t_steps: int,
                            "kind": kind.value, "t_steps": t_steps})
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_records_jsonl(out_path, records, extra=extras)
+
+
+def _write_csv(path, header, rows) -> None:
+    """An archive CSV: the header, then the rows, in csv's default dialect
+    (CRLF line ends), making the directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _fmt(value) -> str:
@@ -399,13 +404,9 @@ def stage_ccts(records_path, ground_path, model_kind: CostModelKind,
 
     landscape = optimize_step_budget(n, CostModel(model_kind), grid, p_means,
                                      epsilon=epsilon, p_logstd=p_stds)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["T_steps", "p_mean", "p_logstd", "n_trials", "ccts"])
-        for (t, p, trials, cost), std in zip(landscape.grid, landscape.p_logstd):
-            writer.writerow([t, _fmt(float(p)), _fmt(std),
-                             _fmt(float(trials)), _fmt(float(cost))])
+    _write_csv(out_path, ["T_steps", "p_mean", "p_logstd", "n_trials", "ccts"],
+               ([t, _fmt(float(p)), _fmt(std), _fmt(float(trials)), _fmt(float(cost))]
+                for (t, p, trials, cost), std in zip(landscape.grid, landscape.p_logstd)))
     return landscape
 
 
@@ -421,12 +422,7 @@ def stage_flip_rate(records_path, instance_path, out_path: Path) -> np.ndarray:
 
 
 def _write_pnt_csv(pnt: np.ndarray, out_path: Path) -> np.ndarray:
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "p_nt"])
-        for t, v in enumerate(pnt):
-            writer.writerow([t, _fmt(float(v))])
+    _write_csv(out_path, ["step", "p_nt"], ([t, _fmt(float(v))] for t, v in enumerate(pnt)))
     return pnt
 
 
@@ -449,12 +445,8 @@ def stage_mimo_ber(opts: dict, base_seed: int, out_path: Path) -> list:
         for name, config in configs.items():
             value = ber(scenarios, config, base_seed=base_seed)
             rows.append((float(ebn0), value, n_scenarios, name))
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["ebn0_db", "ber", "scenario_count", "detector"])
-        for ebn0, value, count, name in rows:
-            writer.writerow([_fmt(ebn0), _fmt(value), count, name])
+    _write_csv(out_path, ["ebn0_db", "ber", "scenario_count", "detector"],
+               ([_fmt(ebn0), _fmt(value), count, name] for ebn0, value, count, name in rows))
     return rows
 
 
@@ -470,9 +462,7 @@ def _write_stamp(manifest: ExperimentManifest, out_dir: Path, status: int):
         "schedule_defaults_version": schedule_defaults_version(),
         "status": status,
     }
-    with open(out_dir / "stamp.json", "w") as f:
-        json.dump(stamp, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "stamp.json", stamp, indent=1, sort_keys=True)
 
 
 def _run_bench(family: Family, manifest: ExperimentManifest, opts: dict,
@@ -549,11 +539,8 @@ def _run_flip_rate(manifest: ExperimentManifest, opts: dict, workers: int) -> in
         # the mean is empty too
         summary_rows.append((xi, math.nan if np.isnan(pnt).all()
                              else float(np.nanmean(pnt))))
-    with open(out / "pnt_summary.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["xi", "mean_p_nt"])
-        for xi, mean in summary_rows:
-            writer.writerow([_fmt(xi), _fmt(mean)])
+    _write_csv(out / "pnt_summary.csv", ["xi", "mean_p_nt"],
+               ([_fmt(xi), _fmt(mean)] for xi, mean in summary_rows))
     return EXIT_OK
 
 
@@ -594,18 +581,21 @@ def archive_hash(out_dir) -> str:
 # Reporting
 
 
-def _read_landscape_csv(path):
-    rows = []
+def _read_csv(path, parse) -> list:
+    """parse(row) of every row of an archive CSV; a missing column or a cell
+    that does not parse raises a ConfigError naming the file."""
     with open(path, newline="") as f, reading(path):
-        for row in csv.DictReader(f):
-            rows.append({
-                "T_steps": int(row["T_steps"]),
-                "p_mean": float(row["p_mean"]) if row["p_mean"] else math.nan,
-                "p_logstd": float(row["p_logstd"]) if row["p_logstd"] else math.nan,
-                "n_trials": float(row["n_trials"]) if row["n_trials"] else math.inf,
-                "ccts": float(row["ccts"]) if row["ccts"] else math.inf,
-            })
-    return rows
+        return [parse(row) for row in csv.DictReader(f)]
+
+
+def _landscape_row(row) -> dict:
+    return {
+        "T_steps": int(row["T_steps"]),
+        "p_mean": float(row["p_mean"]) if row["p_mean"] else math.nan,
+        "p_logstd": float(row["p_logstd"]) if row["p_logstd"] else math.nan,
+        "n_trials": float(row["n_trials"]) if row["n_trials"] else math.inf,
+        "ccts": float(row["ccts"]) if row["ccts"] else math.inf,
+    }
 
 
 def _landscape_optimum(rows):
@@ -629,10 +619,10 @@ def summarize(out_dir, report_path=None) -> str:
     landscapes = sorted(out.glob("landscape_*_n*.csv"))
     by_size: dict[int, dict[str, dict]] = {}
     for path in landscapes:
-        stem = path.stem[len("landscape_"):]
-        name, n_part = stem.rsplit("_n", 1)
-        n = int(n_part)
-        rows = _read_landscape_csv(path)
+        with reading(path):
+            name, n_part = path.stem[len("landscape_"):].rsplit("_n", 1)
+            n = int(n_part)
+        rows = _read_csv(path, _landscape_row)
         optimum = _landscape_optimum(rows)
         p_final = rows[-1]["p_mean"] if rows else math.nan
         by_size.setdefault(n, {})[name] = {"optimum": optimum, "p_final": p_final}
@@ -666,26 +656,19 @@ def summarize(out_dir, report_path=None) -> str:
 
     ber_path = out / "ber.csv"
     if ber_path.exists():
-        with open(ber_path, newline="") as f:
-            for row in csv.DictReader(f):
-                lines.append(
-                    f"ebn0={row['ebn0_db']} dB {row['detector']}: "
-                    f"BER={row['ber']} ({row['scenario_count']} scenarios)")
+        lines += _read_csv(ber_path, lambda row: (
+            f"ebn0={row['ebn0_db']} dB {row['detector']}: "
+            f"BER={row['ber']} ({row['scenario_count']} scenarios)"))
 
     pnt_summary = out / "pnt_summary.csv"
     if pnt_summary.exists():
-        with open(pnt_summary, newline="") as f:
-            for row in csv.DictReader(f):
-                lines.append(f"xi={row['xi']}: mean neighbor-triggered flip rate "
-                             f"= {row['mean_p_nt']}")
+        lines += _read_csv(pnt_summary, lambda row: (
+            f"xi={row['xi']}: mean neighbor-triggered flip rate = {row['mean_p_nt']}"))
 
     if summary_rows:
-        with open(out / "summary.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["n", "solver", "p_final", "t_opt", "ccts_opt"])
-            for row in summary_rows:
-                writer.writerow([row["n"], row["solver"], _fmt(row["p_final"]),
-                                 _fmt(row["t_opt"]), _fmt(row["ccts_opt"])])
+        _write_csv(out / "summary.csv", ["n", "solver", "p_final", "t_opt", "ccts_opt"],
+                   ([row["n"], row["solver"], _fmt(row["p_final"]), _fmt(row["t_opt"]),
+                     _fmt(row["ccts_opt"])] for row in summary_rows))
 
     text = "\n".join(lines) + ("\n" if lines else "")
     report_path.write_text(text)

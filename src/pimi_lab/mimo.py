@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, IsingInstance
+from .core import ConfigError, IsingInstance, derive_seed
 from .solvers import (
     Quantization,
     SolverKind,
@@ -252,11 +252,6 @@ class DiMimoProblem:
         s = np.asarray(s, dtype=np.float64)
         return float(-(self.h @ s) - s @ (self.j @ s))
 
-    def residual_norm_sq(self, s: np.ndarray) -> float:
-        d = self.t_matrix @ np.asarray(s, dtype=np.float64)
-        r = self.y_real - self.h_real @ (self.x_m + d)
-        return float(r @ r)
-
     def reconstruct(self, s: np.ndarray) -> np.ndarray:
         """Refined real-valued estimate x_m + T s."""
         return self.x_m + self.t_matrix @ np.asarray(s, dtype=np.float64)
@@ -409,8 +404,7 @@ def ber(scenarios, config: DetectorConfig, base_seed: int = 0) -> float:
     scenarios = list(scenarios)
     if not scenarios:
         raise ConfigError("ber needs at least one scenario")
-    seeds = [int(np.random.SeedSequence([int(base_seed), idx]).generate_state(
-        1, np.uint64)[0]) for idx in range(len(scenarios))]
+    seeds = [derive_seed([base_seed, idx]) for idx in range(len(scenarios))]
     # build anchors and problems lazily, one engine block of scenarios at a
     # time, to bound memory; this grouping mirrors run_batch's (workers=1)
     # so that each _detect_group call is one block

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ConfigError, IsingInstance, SpinState, block_energies
+from .core import ConfigError, IsingInstance, SpinState, block_energies, energy
 
 EXHAUSTIVE_MAX_N = 24
 _ENUM_BLOCK = 1 << 16
@@ -226,7 +226,7 @@ def local_search_oracle(inst: IsingInstance, restarts: int | None = None,
                 states[r, flip] = -states[r, flip]
                 # multi-flip kick: recompute the kicked chain exactly
                 fields[r] = states[r] @ j + h
-                energies[r] = float(-0.5 * states[r] @ (j @ states[r]) - h @ states[r])
+                energies[r] = energy(inst, states[r])
                 if energies[r] < best_e[r]:
                     best_e[r] = energies[r]
                     best_states[r] = states[r]

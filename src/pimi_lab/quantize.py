@@ -110,11 +110,11 @@ def lut_tanh(x, lut: TanhLut, out=None):
     `out`, an array of x's shape other than x, receives the result."""
     breakpoints, levels = _lut_tables(lut.levels)
     arr = np.asarray(x, dtype=np.float64)
+    # the clipped bin index saturates: it sends x < -1 and -inf to the first
+    # level, -1, and x > 1, +inf and NaN to the last, +1
     idx = np.clip(np.searchsorted(breakpoints, arr, side="right") - 1,
                   0, lut.levels - 1)
     res = np.take(levels, idx, out=np.empty(arr.shape) if out is None else out)
-    np.copyto(res, -1.0, where=arr < -1.0)
-    np.copyto(res, 1.0, where=arr > 1.0)
     if out is None and (np.isscalar(x) or np.ndim(x) == 0):
         return float(res)
     return res

@@ -38,6 +38,7 @@ from .core import (
     TrialRecord,
     as_spins,
     block_energies,
+    derive_seed,
     random_spins,
 )
 from .quantize import FixedPointFormat, TanhLut, lut_tanh, quantize
@@ -272,24 +273,19 @@ def _quantized_update(acc, hq, scale_q, s, t, q: _QuantTables, draws,
 
 def derive_trial_seed(base_seed: int, instance_index: int, trial_index: int) -> int:
     """Per-trial seed from the documented hash-split of the base seed."""
-    ss = np.random.SeedSequence([int(base_seed), int(instance_index), int(trial_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return derive_seed([base_seed, instance_index, trial_index])
 
 
 def trial_setup(n: int, trial_seed: int, init_state: np.ndarray | None = None):
     """Initial spins and the noise generator of one trial, both derived
-    deterministically from the trial seed, which spawns an init and a noise
-    stream. Given `init_state`, the trial starts there and the init stream
-    is not drawn; the noise stream is the same either way."""
+    deterministically from the trial seed: the init stream is its spawn key
+    (0,) child, the noise stream is seeded from its (1,) child. Given
+    `init_state`, the trial starts there and the init stream is not drawn;
+    the noise stream is the same either way."""
     if init_state is None:
-        init_ss, noise_ss = np.random.SeedSequence(int(trial_seed)).spawn(2)
-        init = random_spins(n, np.random.default_rng(init_ss))
-    else:
-        # the second child of spawn(2), made alone
-        noise_ss = np.random.SeedSequence(int(trial_seed), spawn_key=(1,))
-        init = init_state
-    noise_seed = int(noise_ss.generate_state(1, np.uint64)[0])
-    return init, np.random.default_rng(noise_seed)
+        init_ss = np.random.SeedSequence(int(trial_seed), spawn_key=(0,))
+        init_state = random_spins(n, np.random.default_rng(init_ss))
+    return init_state, np.random.default_rng(derive_seed([trial_seed], (1,)))
 
 
 _BLOCK_TRIALS = 64   # trials of one instance per block

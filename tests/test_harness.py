@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimi_lab.cli import main
+from pimi_lab.cli import build_parser, main
 from pimi_lab.core import ConfigError
 from pimi_lab.harness import (
+    _SCHEMA,
     archive_hash,
     default_workers,
     parse_manifest_text,
@@ -427,6 +428,12 @@ _BAD_INPUTS = {
     "report-archive-missing": (["report", "--archive", "{out}"], "{out}"),
     "report-landscape-malformed": (["report", "--archive", "{archive}", "--out", "{out}"],
                                    "{landscape}"),
+    "report-landscape-name": (["report", "--archive", "{archive_name}", "--out", "{out}"],
+                              "{landscape_name}"),
+    "report-ber-column": (["report", "--archive", "{archive_ber}", "--out", "{out}"],
+                          "{ber}"),
+    "report-pnt-column": (["report", "--archive", "{archive_pnt}", "--out", "{out}"],
+                          "{pnt}"),
     "ccts-records-missing": (_ccts(records="{missing}"), "{missing}"),
     "ccts-ground-missing": (_ccts(ground="{missing}"), "{missing}"),
     "flip-rate-records-missing": (["flip-rate", "--records", "{missing}", "--instance",
@@ -474,12 +481,23 @@ def boundary_inputs(tmp_path):
     }
     for name, text in files.items():
         (d / name).write_text(text)
-    landscape = d / "archive" / "landscape_pimi_n6.csv"
-    landscape.parent.mkdir()
-    landscape.write_text("T_steps,p_mean,p_logstd,n_trials,ccts\nx,0.5,0.1,10,100\n")
+    # key -> (archive directory key, file name, text): one bad file per archive
+    header = "T_steps,p_mean,p_logstd,n_trials,ccts\n"
+    archive_files = {
+        "landscape": ("archive", "landscape_pimi_n6.csv", header + "x,0.5,0.1,10,100\n"),
+        "landscape_name": ("archive_name", "landscape_pimi_nbig.csv",
+                           header + "10,0.5,0.1,10,100\n"),
+        "ber": ("archive_ber", "ber.csv", "ebn0_db,ber,scenario_count\n4.0,0.1,1\n"),
+        "pnt": ("archive_pnt", "pnt_summary.csv", "xi\n0.9\n"),
+    }
+    archives = {}
+    for key, (archive, name, text) in archive_files.items():
+        archives[archive] = d / archive
+        archives[archive].mkdir()
+        archives[key] = archives[archive] / name
+        archives[key].write_text(text)
     return {"inst": inst, "rec": d / "rec.jsonl", "gs": d / "gs.json",
-            "missing": d / "missing.json", "out": tmp_path / "out",
-            "archive": landscape.parent, "landscape": landscape,
+            "missing": d / "missing.json", "out": tmp_path / "out", **archives,
             **{name.split(".")[0]: d / name for name in files}}
 
 
@@ -487,6 +505,21 @@ class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "pimi_lab.cli", *args],
                               capture_output=True, text=True)
+
+    @pytest.mark.parametrize("argv, dest, family", [
+        (["generate", "--family", "maxcut", "--n", "6", "--out", "{out}"],
+         "edge_prob", "maxcut-bench"),
+        (_solve(), "tanh_levels", "mimo-ber"),
+        (_MIMO + ["--out", "{out}"], "tanh_levels", "mimo-ber"),
+        (_ccts(), "threshold_fraction", "maxcut-bench"),
+        (_ccts(), "epsilon", "maxcut-bench"),
+        (_MIMO + ["--out", "{out}"], "trials", "mimo-ber"),
+    ])
+    def test_flag_defaults_equal_schema_defaults(self, argv, dest, family):
+        # the CLI repeats these defaults as literals; they must not drift
+        # from the manifest schema's
+        args = build_parser().parse_args(argv)
+        assert getattr(args, dest) == _SCHEMA[family][dest][1]
 
     def test_pipeline_via_cli(self, tmp_path):
         inst = tmp_path / "inst"

@@ -178,6 +178,17 @@ class TestTanhLut:
         ref = np.array([oracle_lut_tanh(float(x), 4) for x in xs])
         assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize("levels", [2, 3, 5, 6, 8])
+    def test_matches_transcription_out_of_range(self, levels):
+        # NaN, +-inf, exactly +-1 and |x| > 1 take the end levels, -1 and +1
+        lut = TanhLut(levels)
+        xs = np.array([np.nan, -np.inf, np.inf, -1.0, 1.0, -1.5, 1.5, -1e300, 1e300,
+                       np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0)])
+        ref = [oracle_lut_tanh(float(x), levels) for x in xs]
+        assert set(ref) == {-1.0, 1.0}
+        assert np.array_equal(lut_tanh(xs, lut), ref)
+        assert [lut_tanh(float(x), lut) for x in xs] == ref
+
     def test_vectorized_matches_scalar(self):
         lut = TanhLut(6)
         xs = np.random.default_rng(4).uniform(-2, 2, 200)

@@ -4,7 +4,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from pimi_lab import solvers
+from pimi_lab import mimo, solvers
 from pimi_lab.core import (
     ConfigError,
     DimensionError,
@@ -13,7 +13,9 @@ from pimi_lab.core import (
     ScheduleKind,
     energy,
 )
+from pimi_lab.harness import instance_seed
 from pimi_lab.instances import Family, GeneratorSpec, gen_maxcut, gen_sk1
+from pimi_lab.mimo import gen_scenario
 from pimi_lab.quantize import FixedPointFormat, TanhLut
 from pimi_lab.solvers import (
     Quantization,
@@ -248,6 +250,55 @@ class TestNoiseSource:
         free = IsingInstance(n, np.zeros((n, n)), np.zeros(n))
         states = trajectory(free, SolverKind.CONV_PARALLEL, noisy, np.ones(n), 1)
         assert abs(states[1:].mean()) < 0.1
+
+
+def first_word(entropy):
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+class TestSeedTree:
+    """Every seed split against np.random.SeedSequence alone, for base seeds
+    of one 32-bit word and of two."""
+
+    BASES = [7, 2**40 + 3, 2**64 - 1]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_instance_and_trial_seeds(self, base):
+        for a, b in [(0, 0), (20, 3), (100, 19)]:
+            assert instance_seed(base, a, b) == first_word([base, a, b])
+            assert derive_trial_seed(base, a, b) == first_word([base, a, b])
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_detection_base_seeds(self, base, monkeypatch):
+        # scenario idx of a BER point runs with base seed SeedSequence([base, idx])
+        seen = []
+
+        def spy(instances, kind, sched, n_trials, base_seed, **kwargs):
+            seen.extend(base_seed)
+            return run_batch(instances, kind, sched, n_trials, base_seed, **kwargs)
+
+        monkeypatch.setattr(mimo, "run_batch", spy)
+        scenarios = [gen_scenario(2, 2, 4, 6.0, i) for i in range(10)]
+        mimo.ber(scenarios, mimo.DetectorConfig(kind="pimi", trials=4, steps=4),
+                 base_seed=base)
+        assert seen == [first_word([base, idx]) for idx in range(10)]
+        assert all(type(s) is int and 0 <= s < 2**64 for s in seen)
+
+    @pytest.mark.parametrize("seed", BASES)
+    def test_trial_streams(self, seed):
+        # init spins from the first child of spawn(2), the noise generator
+        # seeded from the second's first word, with or without an init state
+        init_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+        ref_init = np.random.default_rng(init_ss).integers(0, 2, size=9) * 2.0 - 1.0
+        ref_noise = np.random.default_rng(
+            int(noise_ss.generate_state(1, np.uint64)[0])).standard_normal(20)
+        init, rng = trial_setup(9, seed)
+        assert np.array_equal(init, ref_init)
+        assert np.array_equal(rng.standard_normal(20), ref_noise)
+        given = np.ones(9)
+        start, rng = trial_setup(9, seed, given)
+        assert start is given
+        assert np.array_equal(rng.standard_normal(20), ref_noise)
 
 
 class TestSchedules:
