@@ -241,8 +241,10 @@ def random_spins(n: int, rng: np.random.Generator) -> SpinState:
 
 
 def write_records_jsonl(path, records, extra=None) -> None:
-    """Write TrialRecords, with the trajectories they hold, as JSON lines.
-    `extra` is an optional parallel list of dicts merged into each line."""
+    """Write TrialRecords, with their trajectories, as JSON lines, making
+    the directory. `extra`, if given, holds a dict per record to merge
+    into its line."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         for k, rec in enumerate(records):
             d = rec.to_json_dict()

@@ -342,7 +342,6 @@ def stage_solve(instance_paths, kind: SolverKind, family: str, t_steps: int,
             records.append(rec)
             extras.append({"instance": Path(path).name, "trial": t_idx,
                            "kind": kind.value, "t_steps": t_steps})
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_records_jsonl(out_path, records, extra=extras)
 
 
@@ -582,10 +581,20 @@ def archive_hash(out_dir) -> str:
 
 
 def _read_csv(path, parse) -> list:
-    """parse(row) of every row of an archive CSV; a missing column or a cell
-    that does not parse raises a ConfigError naming the file."""
+    """parse(row) of every row of an archive CSV; a missing column, a row
+    with a cell too few or too many, a cell that does not parse and a file
+    without rows raise a ConfigError naming the file."""
     with open(path, newline="") as f, reading(path):
-        return [parse(row) for row in csv.DictReader(f)]
+        reader = csv.DictReader(f)
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num} does not have "
+                                 "one cell per column")
+            rows.append(parse(row))
+        if not rows:
+            raise ValueError("no data rows")
+        return rows
 
 
 def _landscape_row(row) -> dict:
@@ -624,7 +633,7 @@ def summarize(out_dir, report_path=None) -> str:
             n = int(n_part)
         rows = _read_csv(path, _landscape_row)
         optimum = _landscape_optimum(rows)
-        p_final = rows[-1]["p_mean"] if rows else math.nan
+        p_final = rows[-1]["p_mean"]
         by_size.setdefault(n, {})[name] = {"optimum": optimum, "p_final": p_final}
 
     for n in sorted(by_size):

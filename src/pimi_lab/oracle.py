@@ -240,6 +240,9 @@ def local_search_oracle(inst: IsingInstance, restarts: int | None = None,
 def solve_ground_truth(inst: IsingInstance, method: OracleMethod,
                        seed: int = 0, **kwargs) -> OracleResult:
     if method is OracleMethod.EXHAUSTIVE:
+        if kwargs:
+            raise ConfigError("the exhaustive oracle takes no effort options; "
+                              f"got {sorted(kwargs)}")
         return exhaustive(inst)
     if method is OracleMethod.SIM_ANNEAL:
         return sim_anneal_oracle(inst, seed=seed, **kwargs)

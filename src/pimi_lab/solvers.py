@@ -7,9 +7,10 @@ Update rules, with I_i(t) = field_scale * sum_j J_ij s_j(t) + h_i:
     conv-par   every spin updated from the pre-step state with the same rule
     pimi       s_i(t+1) = sign[tanh(beta(t) I_i(t)) + xi s_i(t) + eta(t) N(0,1)]
 
-sign(0) is +1, fixed. In quantized mode every arithmetic intermediate is
-truncated to the fixed-point grid and tanh goes through the lookup table;
-recorded energies always use the raw couplings in full precision.
+sign(0) is +1, fixed. One datapath runs both arithmetic modes: quantized,
+every intermediate is truncated to the fixed-point grid and tanh goes
+through the lookup table; full precision is its exact case. Recorded
+energies always use the raw couplings in full precision.
 
 `run_batch` is the one engine: it runs trials in vectorized blocks
 (grouped trials, as the hardware kernels do) whatever the problem shape. A
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -56,10 +58,6 @@ class Quantization:
 
     fmt: FixedPointFormat
     lut: TanhLut
-
-
-def _sign_pm1(z):
-    return np.where(np.asarray(z) >= 0.0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,79 +190,82 @@ def schedule_for_solver(kind: SolverKind, family: str, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Quantized datapath
+# Datapath
+
+
+def _exact(x, out=None):
+    """The rounding of full precision: every value is already on its grid."""
+    return x
+
 
 @dataclass(frozen=True)
-class _QuantTables:
-    """A block's fixed-point operands; jq, hq and scale_q have the shapes
-    of the block's couplings, bias and scale operands."""
+class _Datapath:
+    """A block's operands on the grid, the rounding applied after every
+    operation and the tanh. `rnd(x, out=...)` returns x rounded, written to
+    `out` unless the rounding is exact, where it returns x itself."""
 
-    jq: np.ndarray
-    hq: np.ndarray
-    scale_q: np.ndarray
-    beta_q: np.ndarray
-    eta_q: np.ndarray
-    xi_q: float
-    fmt: FixedPointFormat
-    lut: TanhLut
+    j: np.ndarray
+    h: np.ndarray
+    scale: np.ndarray
+    beta: np.ndarray
+    eta: np.ndarray
+    xi: float
+    rnd: Callable
+    tanh: Callable
     apply_scale: bool
     add_bias: bool
 
 
-def _quantized_tables(j: np.ndarray, h: np.ndarray, scale: np.ndarray,
-                      sched: Schedule, quant: Quantization) -> _QuantTables:
-    """Tables of a block whose instances have couplings `j`, bias `h` and
-    field scale `scale`. An instance that does not scale, in a block where
-    another does, scales by exactly 1; one without bias adds exactly 0:
-    neither moves a value that is on the grid."""
-    fmt = quant.fmt
+def _datapath(j: np.ndarray, h: np.ndarray, scale: np.ndarray,
+              sched: Schedule, quant: Quantization | None) -> _Datapath:
+    """Datapath of a block with couplings `j`, bias `h` and field scale
+    `scale`: the grid and LUT of `quant`, or full precision, its exact case,
+    with the raw operands and np.tanh. Scaling by 1, adding a bias of 0 or
+    skipping either moves a value at most by the sign of a zero, which the
+    sign decision does not see."""
+    if quant is None:
+        rnd, tanh = _exact, np.tanh
+    else:
+        rnd = functools.partial(quantize, fmt=quant.fmt)
+        tanh = functools.partial(lut_tanh, lut=quant.lut)
     scaled = scale != 1.0
-    return _QuantTables(
-        jq=quantize(j, fmt),
-        hq=quantize(h, fmt),
-        scale_q=np.where(scaled, quantize(scale, fmt), 1.0),
-        beta_q=quantize(sched.beta, fmt),
-        eta_q=quantize(sched.eta, fmt),
-        xi_q=quantize(sched.xi, fmt),
-        fmt=fmt,
-        lut=quant.lut,
-        apply_scale=bool(np.any(scaled)),
-        add_bias=bool(np.any(h != 0.0)),
-    )
+    return _Datapath(rnd(j), rnd(h), np.where(scaled, rnd(scale), 1.0),
+                     rnd(sched.beta), rnd(sched.eta), rnd(sched.xi), rnd, tanh,
+                     apply_scale=bool(np.any(scaled)),
+                     add_bias=bool(np.any(h != 0.0)))
 
 
-def _quantized_update(acc, hq, scale_q, s, t, q: _QuantTables, draws,
-                      with_inertia: bool, z, term):
-    """Quantized update from an accumulated field `acc` (the block's
-    `S @ jq` for all spins, or `S @ jq[i]` for one spin i, with `hq`,
-    `scale_q` and `s` the matching bias, scale and pre-step spins),
-    computed in place: `acc` is overwritten and `z`, returned, and `term`
-    are buffers of its shape. All intermediates share the format: the
-    accumulated field, the post-scaling product, the bias add, beta*I, the
-    LUT output, xi*s, the noise sample and its eta product, and each add of
-    the final sum."""
-    fmt = q.fmt
-    quantize(acc, fmt, out=acc)
-    if q.apply_scale:
-        np.multiply(scale_q, acc, out=acc)
-        quantize(acc, fmt, out=acc)
-    if q.add_bias:
-        acc += hq
-        quantize(acc, fmt, out=acc)
-    np.multiply(q.beta_q[t], acc, out=acc)
-    quantize(acc, fmt, out=acc)
-    lut_tanh(acc, q.lut, out=z)
-    quantize(z, fmt, out=z)
+def _update(acc, h, scale, s, t, dp: _Datapath, draws, with_inertia: bool,
+            z, term):
+    """z = tanh(beta(t) (scale acc + h)) [+ xi s] + eta(t) draw from an
+    accumulated field `acc` (the block's `S @ dp.j` for all spins, or
+    `S @ dp.j[i]` for one spin i, with `h`, `scale` and `s` the matching
+    bias, scale and pre-step spins), computed in place: `acc` is
+    overwritten and `z`, the result, and `term` are buffers of its shape.
+    Every intermediate is rounded: the accumulated field, the post-scaling
+    product, the bias add, beta*I, the tanh output, xi*s, the noise sample
+    and its eta product, and each add of the final sum."""
+    rnd = dp.rnd
+    rnd(acc, out=acc)
+    if dp.apply_scale:
+        np.multiply(scale, acc, out=acc)
+        rnd(acc, out=acc)
+    if dp.add_bias:
+        acc += h
+        rnd(acc, out=acc)
+    np.multiply(dp.beta[t], acc, out=acc)
+    rnd(acc, out=acc)
+    dp.tanh(acc, out=z)
+    rnd(z, out=z)
     if with_inertia:
-        np.multiply(q.xi_q, s, out=term)
-        quantize(term, fmt, out=term)
+        np.multiply(dp.xi, s, out=term)
+        rnd(term, out=term)
         z += term
-        quantize(z, fmt, out=z)
-    quantize(draws, fmt, out=term)
-    np.multiply(q.eta_q[t], term, out=term)
-    quantize(term, fmt, out=term)
+        rnd(z, out=z)
+    np.multiply(dp.eta[t], rnd(draws, out=term), out=term)
+    rnd(term, out=term)
     z += term
-    return quantize(z, fmt, out=z)
+    rnd(z, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +349,7 @@ def _run_block(insts, seed_keys, kind: SolverKind, sched: Schedule,
     T = sched.t_steps
     seq = kind is SolverKind.CONV_SEQUENTIAL
     with_inertia = kind is SolverKind.PIMI
+    exact = quantization is None
 
     seeds = [derive_trial_seed(base, idx, k) for base, idx in seed_keys
              for k in trial_indices]
@@ -390,8 +392,7 @@ def _run_block(insts, seed_keys, kind: SolverKind, sched: Schedule,
         H, scale = h[:, None, :], scale[:, None, None]
     else:
         H = h
-    qt = _quantized_tables(J, H, scale, sched, quantization) if quantization else None
-    beta, eta, xi = sched.beta, sched.eta, sched.xi
+    dp = _datapath(J, H, scale, sched, quantization)
 
     # energies[t] is the full-precision energy after step t
     energies = np.empty((T,) + lead + (B,))
@@ -400,31 +401,28 @@ def _run_block(insts, seed_keys, kind: SolverKind, sched: Schedule,
         states[0] = S
 
     if seq:
-        # spin i's coupling column, bias and scale, against lead + (B,) rows
+        # spin i's coupling column and bias, raw for the energies and on the
+        # datapath's grid for the update, and the scale, against lead + (B,) rows
         cols = np.moveaxis(J, -2, 0)[..., None]
         h_cols = np.moveaxis(H, -1, 0)
-        scale_rows = scale.reshape(scale.shape[:-1])
-        if qt is not None:
-            q_cols = np.moveaxis(qt.jq, -2, 0)[..., None]
-            q_h_cols = np.moveaxis(qt.hq, -1, 0)
-            q_scale_rows = qt.scale_q.reshape(qt.scale_q.shape[:-1])
-            z = np.empty(lead + (B,))
-            term = np.empty(lead + (B,))
+        dp_cols = np.moveaxis(dp.j, -2, 0)[..., None]
+        dp_h_cols = np.moveaxis(dp.h, -1, 0)
+        dp_scale = dp.scale.reshape(dp.scale.shape[:-1])
+        z = np.empty(lead + (B,))
+        term = np.empty(lead + (B,))
         prev = block_energies(J, h, S)
         for t in range(T):
             i = t % n
             s_i = S[..., i]
-            h_i = h_cols[i]
             field = np.matmul(S, cols[i])[..., 0]
-            if qt is None:
-                new = _sign_pm1(np.tanh(beta[t] * (scale_rows * field + h_i))
-                                + eta[t] * draws(t))
-            else:
-                new = _sign_pm1(_quantized_update(
-                    np.matmul(S, q_cols[i])[..., 0], q_h_cols[i], q_scale_rows,
-                    s_i, t, qt, draws(t), False, z, term))
-            np.add(prev, np.where(new != s_i, 2.0 * s_i * (field + h_i), 0.0),
-                   out=energies[t])
+            # the energy change should spin i flip, taken before full
+            # precision steps in `field` itself
+            gain = 2.0 * s_i * (field + h_cols[i])
+            acc = field if exact else np.matmul(S, dp_cols[i])[..., 0]
+            _update(acc, dp_h_cols[i], dp_scale, s_i, t, dp, draws(t), False,
+                    z, term)
+            new = np.where(z >= 0.0, 1.0, -1.0)  # sign(0) = +1
+            np.add(prev, np.where(new != s_i, gain, 0.0), out=energies[t])
             prev = energies[t]
             S[..., i] = new
             if states is not None:
@@ -435,26 +433,11 @@ def _run_block(insts, seed_keys, kind: SolverKind, sched: Schedule,
         term = np.empty(S.shape)
         up = np.empty(S.shape, dtype=bool)
         for t in range(T):
-            if qt is None:
-                np.matmul(S, J, out=acc)
-                if t > 0:
-                    energies[t - 1] = block_energies(J, h, S, acc)
-                # z = tanh(beta (scale acc + h)) [+ xi S] + eta draw, in place
-                np.multiply(acc, scale, out=z)
-                z += H
-                z *= beta[t]
-                np.tanh(z, out=z)
-                if with_inertia:
-                    np.multiply(S, xi, out=term)
-                    z += term
-                np.multiply(draws(t), eta[t], out=term)
-                z += term
-            else:
-                if t > 0:
-                    energies[t - 1] = block_energies(J, h, S)
-                np.matmul(S, qt.jq, out=acc)
-                _quantized_update(acc, qt.hq, qt.scale_q, S, t, qt, draws(t),
-                                  with_inertia, z, term)
+            np.matmul(S, dp.j, out=acc)
+            if t > 0:
+                # full precision has the energies' product already
+                energies[t - 1] = block_energies(J, h, S, acc if exact else None)
+            _update(acc, dp.h, dp.scale, S, t, dp, draws(t), with_inertia, z, term)
             # sign with sign(0) = +1
             np.greater_equal(z, 0.0, out=up)
             np.copyto(S, up)

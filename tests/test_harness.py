@@ -248,6 +248,11 @@ class TestStages:
         assert on_disk["sk1_n6_i0.json"]["method"] == "exhaustive"
         assert gs["sk1_n6_i0.json"]["energy"] <= 0
 
+    def test_solve_stage_without_instances_makes_its_directory(self, tmp_path):
+        out = tmp_path / "new" / "records.jsonl"
+        stage_solve([], SolverKind.PIMI, "maxcut", 20, 2, 3, out)
+        assert out.read_text() == ""
+
     def test_solve_and_ccts_stages(self, tmp_path):
         paths = stage_generate(Family.MAXCUT_ER, [8], 3, 2, tmp_path / "inst")
         gs_path = tmp_path / "gs.json"
@@ -416,6 +421,8 @@ _BAD_INPUTS = {
                        "--out", "{out}"], "--seed"),
     "oracle-seed": (["oracle", "--method", "sa", "--in", "{inst}", "--seed", "-1",
                      "--out", "{out}"], "--seed"),
+    "oracle-exhaustive-restarts": (["oracle", "--method", "exhaustive", "--in", "{inst}",
+                                    "--restarts", "5", "--out", "{out}"], "restarts"),
     "solve-seed": (_solve("--seed", "-1"), "--seed"),
     "mimo-ber-seed": (_MIMO + ["--seed", "-1", "--out", "{out}"], "--seed"),
     "schedule-missing": (_solve(schedule="{missing}"), "{missing}"),
@@ -434,6 +441,12 @@ _BAD_INPUTS = {
                           "{ber}"),
     "report-pnt-column": (["report", "--archive", "{archive_pnt}", "--out", "{out}"],
                           "{pnt}"),
+    "report-ber-short-row": (["report", "--archive", "{archive_ber_short}",
+                              "--out", "{out}"], "{ber_short}"),
+    "report-pnt-long-row": (["report", "--archive", "{archive_pnt_long}",
+                             "--out", "{out}"], "{pnt_long}"),
+    "report-landscape-header-only": (["report", "--archive", "{archive_header_only}",
+                                      "--out", "{out}"], "{landscape_header_only}"),
     "ccts-records-missing": (_ccts(records="{missing}"), "{missing}"),
     "ccts-ground-missing": (_ccts(ground="{missing}"), "{missing}"),
     "flip-rate-records-missing": (["flip-rate", "--records", "{missing}", "--instance",
@@ -489,6 +502,10 @@ def boundary_inputs(tmp_path):
                            header + "10,0.5,0.1,10,100\n"),
         "ber": ("archive_ber", "ber.csv", "ebn0_db,ber,scenario_count\n4.0,0.1,1\n"),
         "pnt": ("archive_pnt", "pnt_summary.csv", "xi\n0.9\n"),
+        "ber_short": ("archive_ber_short", "ber.csv",
+                      "ebn0_db,ber,scenario_count,detector\n4.0,0.1\n"),
+        "pnt_long": ("archive_pnt_long", "pnt_summary.csv", "xi,mean_p_nt\n0.9,0.1,7\n"),
+        "landscape_header_only": ("archive_header_only", "landscape_pimi_n6.csv", header),
     }
     archives = {}
     for key, (archive, name, text) in archive_files.items():

@@ -407,13 +407,20 @@ class TestRunBatch:
             for t_idx, rec in enumerate(recs):
                 assert rec.seed == derive_trial_seed(9, i_idx, t_idx)
 
-    @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_PARALLEL,
-                                      SolverKind.CONV_SEQUENTIAL])
-    def test_block_engine_matches_reference_on_integer_couplings(self, kind):
+    @pytest.mark.parametrize("kind, biased", [
+        pytest.param(kind, biased, id=kind.value + ("-bias-scale" if biased else ""))
+        for biased in (False, True)
+        for kind in (SolverKind.PIMI, SolverKind.CONV_PARALLEL,
+                     SolverKind.CONV_SEQUENTIAL)])
+    def test_block_engine_matches_reference_on_integer_couplings(self, kind, biased):
         # integer-valued benchmark couplings make every field accumulation
         # exact, so the grouped engine must agree with the scalar reference
-        # bit for bit even in full precision
+        # bit for bit even in full precision; an integer bias and a field
+        # scale of 0.75 keep every sum exact too
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 11, 6))
+        if biased:
+            h = np.random.default_rng(3).integers(-2, 3, 11).astype(float)
+            inst = IsingInstance(11, inst.j, h, field_scale=0.75)
         sched = schedule_for_solver(kind, "sk1", 11, 150)
         batch = run_batch([inst], kind, sched, 10, base_seed=8,
                           record_trajectory=True, record_states=True)[0]
