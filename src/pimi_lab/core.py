@@ -7,9 +7,11 @@ any quantization applied inside a solver.
 from __future__ import annotations
 
 import json
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -35,11 +37,121 @@ def reading(path):
         raise ConfigError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq_fe, pcg-random.org): a pool of 4 uint32 words, filled and mixed
+# by a hash whose multiplier advances on every call
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # the entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # the hash of generate_state
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of `count` hash calls and after the
+    last, as a column against a (words, rows) array."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, consts):
+    """numpy's hashmix of `value` along its first axis: hash call k takes
+    the constants before and after it, consts[k] and consts[k + 1]."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> 16)
+
+
+def _uint32_words(values: list[int]):
+    """Each non-negative int's uint32 words, least significant first, as
+    numpy splits an int (0 is one word): a (len(values), m) array padded
+    with zeros, and each int's word count. Ints below 2**64 split as one
+    uint64 array."""
+    if values and min(values) < 0:
+        raise ValueError("expected non-negative integer")
+    try:
+        rest = np.array(values, dtype=np.uint64)
+    except OverflowError:  # an int of 2**64 or more
+        rest = np.array(values, dtype=object)
+    limbs, counts = [], np.ones(len(values), dtype=np.intp)
+    while True:
+        limbs.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+        more = rest != 0
+        if not more.any():
+            return np.stack(limbs, axis=1), counts
+        counts += more
+
+
+def derive_seeds(entropies, spawn_key=(), words=1) -> np.ndarray:
+    """Row r of the (R, words) uint64 result is
+    SeedSequence(entropies[r], spawn_key).generate_state(words, np.uint64),
+    for a sequence of R rows of non-negative ints of any size and number,
+    computed for all rows at once in uint32 array arithmetic.
+
+    Each row's entropy is assembled as numpy assembles it: every int
+    becomes its uint32 words, and a non-empty spawn key's words follow the
+    row's words zero-padded to the 4-word pool. The pool mix is then one
+    sequence of array operations over the rows; a word past the pool
+    mixes only into the rows that have it, since the hash constants do not
+    depend on the data."""
+    n_rows = len(entropies)
+    per_row = np.fromiter(map(len, entropies), dtype=np.intp, count=n_rows)
+    limbs, counts = _uint32_words(list(map(operator.index,
+                                           chain.from_iterable(entropies))))
+    key_limbs, key_counts = _uint32_words(list(map(operator.index, spawn_key)))
+    spawn = [w for limb, m in zip(key_limbs.tolist(), key_counts) for w in limb[:m]]
+    # word offsets: of each int from its row's start, and each row's length
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    row_first = np.concatenate(([0], np.cumsum(per_row)))
+    row_start = ends[row_first[:-1]]
+    run_len = ends[row_first[1:]] - row_start
+    owner = np.repeat(np.arange(n_rows), per_row)
+    offset = ends[:-1] - row_start[owner]
+    spawn_at = np.maximum(run_len, _POOL) if spawn else run_len
+    length = spawn_at + len(spawn)
+
+    # entropy[i, r] is word i of row r, zero past the row's end
+    entropy = np.zeros((max(_POOL, int(length.max(initial=0))), n_rows),
+                       dtype=np.uint32)
+    for level in range(limbs.shape[1]):
+        has = counts > level
+        entropy[offset[has] + level, owner[has]] = limbs[has, level]
+    for k, w in enumerate(spawn):
+        entropy[spawn_at + k, np.arange(n_rows)] = w
+
+    extra = entropy.shape[0] - _POOL
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    # the pool takes the first 4 words, zero where a row has fewer
+    pool = _hashmix(entropy[:_POOL], consts[:_POOL + 1])
+    c = _POOL
+    # each pool word, hashed by 3 consecutive constants, mixes into the others
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[c:c + _POOL]))
+        c += _POOL - 1
+    # each later word mixes into the whole pool, of the rows that have it
+    for src in range(_POOL, entropy.shape[0]):
+        mixed = _mix(pool, _hashmix(entropy[src], consts[c:c + _POOL + 1]))
+        pool = np.where(length > src, mixed, pool)
+        c += _POOL
+
+    out_consts = _hash_constants(_INIT_B, _MULT_B, 2 * words)
+    state = _hashmix(pool[np.arange(2 * words) % _POOL], out_consts).astype(np.uint64)
+    # uint64 word j joins uint32 words 2j (low) and 2j + 1 (high)
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T.copy()
+
+
 def derive_seed(words, spawn_key=()) -> int:
-    """The first uint64 of SeedSequence(words, spawn_key): the one split by
-    which every instance, trial, scenario and noise seed is derived."""
-    ss = np.random.SeedSequence([int(w) for w in words], spawn_key=spawn_key)
-    return int(ss.generate_state(1, np.uint64)[0])
+    """The first uint64 of SeedSequence(words, spawn_key): the one-row case
+    of derive_seeds, the split by which every seed is derived."""
+    return int(derive_seeds([words], spawn_key)[0, 0])
 
 
 def write_json(path, obj, **dump_options) -> None:

@@ -29,6 +29,7 @@ from .core import (
     Schedule,
     ScheduleKind,
     derive_seed,
+    derive_seeds,
     read_records_jsonl,
     reading,
     write_json,
@@ -437,10 +438,13 @@ def stage_mimo_ber(opts: dict, base_seed: int, out_path: Path) -> list:
     nr = opts["nr"] or nt
     rows = []
     for ebn0 in opts["ebn0"]:
-        scen_seed_root = np.random.SeedSequence(
-            [int(base_seed), int(round(ebn0 * 1000))])
-        seeds = scen_seed_root.generate_state(n_scenarios, np.uint64)
-        scenarios = [gen_scenario(nt, nr, qam, float(ebn0), int(s)) for s in seeds]
+        # the point's root, with m = round(1000 ebn0): [seed, m] for m >= 0,
+        # and for m < 0 the spawn key (1,) child of [seed, -m], which is no
+        # m >= 0 point's root
+        milli = int(round(ebn0 * 1000))
+        root, key = ((base_seed, milli), ()) if milli >= 0 else ((base_seed, -milli), (1,))
+        seeds = derive_seeds([root], key, words=n_scenarios)[0].tolist()
+        scenarios = [gen_scenario(nt, nr, qam, float(ebn0), s) for s in seeds]
         for name, config in configs.items():
             value = ber(scenarios, config, base_seed=base_seed)
             rows.append((float(ebn0), value, n_scenarios, name))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, IsingInstance, derive_seed
+from .core import ConfigError, IsingInstance, derive_seeds
 from .solvers import (
     Quantization,
     SolverKind,
@@ -399,12 +399,14 @@ def _detect_group(scenarios, config: DetectorConfig, seeds) -> list[DetectionRes
 
 def ber(scenarios, config: DetectorConfig, base_seed: int = 0) -> float:
     """Mean fraction of incorrectly detected information bits. Scenario
-    idx is detected with base seed SeedSequence([base_seed, idx]), a block
-    of scenarios at a time: as many as share one engine block."""
+    idx is detected with base seed derive_seed([base_seed, idx]), all
+    derived in one call, a block of scenarios at a time: as many as share
+    one engine block."""
     scenarios = list(scenarios)
     if not scenarios:
         raise ConfigError("ber needs at least one scenario")
-    seeds = [derive_seed([base_seed, idx]) for idx in range(len(scenarios))]
+    seeds = derive_seeds([(base_seed, idx)
+                          for idx in range(len(scenarios))])[:, 0].tolist()
     # build anchors and problems lazily, one engine block of scenarios at a
     # time, to bound memory; this grouping mirrors run_batch's (workers=1)
     # so that each _detect_group call is one block

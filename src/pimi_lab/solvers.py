@@ -40,7 +40,7 @@ from .core import (
     TrialRecord,
     as_spins,
     block_energies,
-    derive_seed,
+    derive_seeds,
     random_spins,
 )
 from .quantize import FixedPointFormat, TanhLut, lut_tanh, quantize
@@ -272,21 +272,56 @@ def _update(acc, h, scale, s, t, dp: _Datapath, draws, with_inertia: bool,
 # Batch runner
 
 
-def derive_trial_seed(base_seed: int, instance_index: int, trial_index: int) -> int:
-    """Per-trial seed from the documented hash-split of the base seed."""
-    return derive_seed([base_seed, instance_index, trial_index])
+@functools.cache
+def _words_type() -> type:
+    """A numpy ISeedSequence that hands a bit generator the uint64 words
+    derived for it (PCG64 asks for 4), and refuses any other request. Made
+    on first use: numpy loads numpy.random lazily, and importing pimi_lab
+    does not load it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"derived {len(self.words)} uint64 words, "
+                                 f"asked for {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return Words
 
 
-def trial_setup(n: int, trial_seed: int, init_state: np.ndarray | None = None):
-    """Initial spins and the noise generator of one trial, both derived
-    deterministically from the trial seed: the init stream is its spawn key
-    (0,) child, the noise stream is seeded from its (1,) child. Given
-    `init_state`, the trial starts there and the init stream is not drawn;
-    the noise stream is the same either way."""
+def _generators(words: np.ndarray) -> list[np.random.Generator]:
+    """One PCG64 Generator per row of (R, 4) seed words: row r's is
+    default_rng(ss) where ss.generate_state(4, np.uint64) gives row r."""
+    # PCG64 reads the words from their buffer, so each row must be contiguous
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    seq = _words_type()
+    return [np.random.Generator(np.random.PCG64(seq(w))) for w in words]
+
+
+def _seed_block(seed_keys, trial_indices, S: np.ndarray,
+                init_state: np.ndarray | None):
+    """The seed tree of a block, derived for all its trials at once: the
+    seed of trial k of the instance keyed (base, idx) is the first word of
+    SeedSequence([base, idx, k]); its noise generator is default_rng(c)
+    with c the first word of its spawn key (1,) child; its initial spins
+    are drawn into its row of the (rows, N) view `S` from
+    default_rng(spawn key (0,) child), unless `init_state` is given, which
+    every row then copies. Returns the trial seeds and noise generators."""
+    seeds = derive_seeds([(base, idx, k) for base, idx in seed_keys
+                          for k in trial_indices])
+    children = derive_seeds(seeds.tolist(), spawn_key=(1,))
+    noise = _generators(derive_seeds(children.tolist(), words=4))
     if init_state is None:
-        init_ss = np.random.SeedSequence(int(trial_seed), spawn_key=(0,))
-        init_state = random_spins(n, np.random.default_rng(init_ss))
-    return init_state, np.random.default_rng(derive_seed([trial_seed], (1,)))
+        for r, rng in enumerate(_generators(
+                derive_seeds(seeds.tolist(), spawn_key=(0,), words=4))):
+            S[r] = random_spins(S.shape[1], rng)
+    else:
+        S[:] = init_state
+    return seeds[:, 0].tolist(), noise
 
 
 _BLOCK_TRIALS = 64   # trials of one instance per block
@@ -351,14 +386,9 @@ def _run_block(insts, seed_keys, kind: SolverKind, sched: Schedule,
     with_inertia = kind is SolverKind.PIMI
     exact = quantization is None
 
-    seeds = [derive_trial_seed(base, idx, k) for base, idx in seed_keys
-             for k in trial_indices]
     S = np.empty(lead + (B, n))
     flat = S.reshape(rows, n)
-    rngs = []
-    for r, ts in enumerate(seeds):
-        flat[r], rng = trial_setup(n, ts, init_state)
-        rngs.append(rng)
+    seeds, rngs = _seed_block(seed_keys, trial_indices, flat, init_state)
 
     # one draw per step for conv-seq, one per spin and step otherwise; a
     # block of K stacked instances gets 1/K of the buffer budget, since its

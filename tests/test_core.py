@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pimi_lab import solvers
 from pimi_lab.core import (
     ConfigError,
     DimensionError,
@@ -11,6 +14,7 @@ from pimi_lab.core import (
     ScheduleKind,
     TrialRecord,
     as_spins,
+    derive_seeds,
     energy,
     random_spins,
     read_records_jsonl,
@@ -237,3 +241,48 @@ class TestTrialRecord:
                           energy_trajectory=traj)
         assert rec.best_energy == traj.min()
         assert rec.best_step == int(np.argmin(traj))
+
+
+# entropy ints across numpy's word boundaries: 1, 2 and 3 uint32 words
+_ENTROPY_INT = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64]),
+                         st.integers(0, 2**96 - 1))
+_ENTROPY_ROW = st.lists(_ENTROPY_INT, min_size=1, max_size=5)
+_SPAWN_KEY = st.sampled_from([(), (0,), (1,)])
+
+
+class TestDeriveSeeds:
+    """derive_seeds against np.random.SeedSequence itself: a numpy whose
+    algorithm moved would fail here (and move every archive)."""
+
+    @given(rows=st.lists(_ENTROPY_ROW, min_size=1, max_size=8),
+           spawn_key=_SPAWN_KEY, words=st.sampled_from([1, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_seed_sequence_states(self, rows, spawn_key, words):
+        # rows of mixed entropy lengths in one call
+        out = derive_seeds(rows, spawn_key, words)
+        assert out.dtype == np.uint64 and out.shape == (len(rows), words)
+        for row, got in zip(rows, out, strict=True):
+            ss = np.random.SeedSequence(row, spawn_key=spawn_key)
+            assert np.array_equal(got, ss.generate_state(words, np.uint64))
+
+    @given(row=_ENTROPY_ROW, spawn_key=_SPAWN_KEY)
+    @settings(max_examples=200, deadline=None)
+    def test_generators_from_derived_words_are_default_rng(self, row, spawn_key):
+        ref = np.random.default_rng(np.random.SeedSequence(row, spawn_key=spawn_key))
+        rng = solvers._generators(derive_seeds([row], spawn_key, words=4))[0]
+        assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
+        assert np.array_equal(rng.uniform(-1.0, 1.0, 7), ref.uniform(-1.0, 1.0, 7))
+        assert np.array_equal(rng.integers(0, 2, 7), ref.integers(0, 2, 7))
+
+    def test_rejects_what_seed_sequence_rejects(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds([[3, -1]])
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds([[3]], spawn_key=(-1,))
+        with pytest.raises(TypeError):
+            derive_seeds([[1.5]])
+
+    def test_words_other_than_derived_are_refused(self):
+        words = derive_seeds([[1]], words=4)[0]
+        with pytest.raises(ValueError, match="asked for 2"):
+            solvers._words_type()(words).generate_state(2, np.uint64)

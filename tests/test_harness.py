@@ -5,10 +5,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimi_lab import harness
 from pimi_lab.cli import build_parser, main
 from pimi_lab.core import ConfigError
 from pimi_lab.harness import (
@@ -27,6 +29,7 @@ from pimi_lab.harness import (
 )
 from pimi_lab.instances import Family
 from pimi_lab.metrics import CostModelKind, log_space_std
+from pimi_lab.mimo import gen_scenario
 from pimi_lab.oracle import OracleMethod
 from pimi_lab.solvers import SolverKind
 
@@ -221,6 +224,43 @@ class TestSweepGrammar:
 
         assert points(tmp_path / "cli.csv") == points(tmp_path / "run" / "ber.csv")
         assert points(tmp_path / "cli.csv") == [repr(v) for v in parse_sweep(spec)]
+
+    def test_negative_ebn0_point(self, tmp_path, monkeypatch):
+        # m = round(1000 ebn0): point m >= 0 seeds its scenarios from
+        # SeedSequence([seed, m]), point m < 0 from the spawn key (1,)
+        # child of SeedSequence([seed, -m])
+        seen = {}
+
+        def spy(nt, nr, qam, ebn0, seed):
+            seen.setdefault(ebn0, []).append(seed)
+            return gen_scenario(nt, nr, qam, ebn0, seed)
+
+        monkeypatch.setattr(harness, "gen_scenario", spy)
+
+        def cli(ebn0, name):
+            assert main(["mimo-ber", "--nt", "2", "--nr", "2", "--qam", "4",
+                         f"--ebn0={ebn0}", "--scenarios", "2", "--detector", "pimi",
+                         "--trials", "2", "--seed", "3",
+                         "--out", str(tmp_path / name)]) == 0
+            with open(tmp_path / name, newline="") as f:
+                return list(csv.DictReader(f))
+
+        both = cli("-2,0", "both.csv")
+        assert [row["ebn0_db"] for row in both] == ["-2.0", "0.0"]
+        assert both[1:] == cli("0", "zero.csv")
+        cli("2", "plus.csv")
+        child = np.random.SeedSequence([3, 2000], spawn_key=(1,))
+        assert seen[-2.0] == child.generate_state(2, np.uint64).tolist()
+        root = np.random.SeedSequence([3, 2000])
+        assert seen[2.0] == root.generate_state(2, np.uint64).tolist()
+        assert not set(seen[-2.0]) & set(seen[2.0])
+
+        text = ("schema_version = 1\nfamily = mimo-ber\nseed = 3\n"
+                f"out = {tmp_path / 'run'}\nnt = 2\nqam = 4\nebn0 = -2,0\n"
+                "scenarios = 2\ndetectors = pimi\ntrials = 2\n")
+        assert run_experiment(parse_manifest_text(text)) == 0
+        with open(tmp_path / "run" / "ber.csv", newline="") as f:
+            assert list(csv.DictReader(f)) == both
 
     def test_default_ebn0_sweep_covers_0_to_24_db(self, tmp_path):
         text = ("schema_version = 1\nfamily = mimo-ber\nseed = 0\n"

@@ -21,11 +21,9 @@ from pimi_lab.solvers import (
     Quantization,
     SolverKind,
     default_schedule_params,
-    derive_trial_seed,
     make_schedule,
     run_batch,
     schedule_for_solver,
-    trial_setup,
 )
 
 
@@ -201,7 +199,7 @@ class TestRunTrial:
     def test_pimi_xi0_uniform_degenerates_to_conv_parallel(self):
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 10, 2))
         sched = const_schedule(0.6, 0.8, 0.0, 120)
-        init, _ = trial_setup(10, 21)
+        init, _ = reference_streams(10, 21)
         # noise-free, the two kinds step identically
         still = const_schedule(0.6, 0.0, 0.0, 120)
         a = trajectory(inst, SolverKind.PIMI, still, init)
@@ -209,7 +207,7 @@ class TestRunTrial:
         assert np.array_equal(a, b)
         # with noise, pimi at xi = 0 follows the conv-par rule on its own draws
         states = trajectory(inst, SolverKind.PIMI, sched, init, base_seed=33)
-        _, rng = trial_setup(10, derive_trial_seed(33, 0, 0))
+        _, rng = reference_streams(10, first_word([33, 0, 0]))
         ref, _ = reference_trial(inst, SolverKind.CONV_PARALLEL, sched, init,
                                  rng.standard_normal((120, 10)))
         assert np.array_equal(states, ref)
@@ -225,19 +223,30 @@ class TestRunTrial:
 
 class TestNoiseSource:
     def test_same_seed_same_stream(self):
-        init_a, rng_a = trial_setup(8, 5)
-        init_b, rng_b = trial_setup(8, 5)
-        assert np.array_equal(init_a, init_b)
-        assert np.array_equal(rng_a.standard_normal(100), rng_b.standard_normal(100))
+        # a base seed fixes every trial's initial spins and noise: a rerun
+        # repeats them, and each trial runs on numpy's streams for its seed
+        inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 8, 1))
+        sched = schedule_for_solver(SolverKind.PIMI, "sk1", 8, 30)
+        a, b = (run_batch([inst], SolverKind.PIMI, sched, 3, base_seed=5,
+                          record_states=True)[0] for _ in range(2))
+        for t_idx, (rec_a, rec_b) in enumerate(zip(a, b, strict=True)):
+            assert np.array_equal(rec_a.state_trajectory, rec_b.state_trajectory)
+            init, draws = trial_noise(SolverKind.PIMI, 8, 30, first_word([5, 0, t_idx]))
+            states, _ = reference_trial(inst, SolverKind.PIMI, sched, init, draws)
+            assert np.array_equal(rec_a.state_trajectory, states)
 
     def test_given_init_state_keeps_noise_stream(self):
         # a given initial state skips the init draw; the noise stream is a
-        # separate spawn, so it does not move
-        init, rng = trial_setup(8, 5)
+        # separate spawn, so each trial runs on the draws it has without one
+        inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 8, 1))
+        sched = schedule_for_solver(SolverKind.PIMI, "sk1", 8, 30)
         given = -np.ones(8)
-        start, rng_given = trial_setup(8, 5, given)
-        assert start is given
-        assert np.array_equal(rng.standard_normal(100), rng_given.standard_normal(100))
+        recs = run_batch([inst], SolverKind.PIMI, sched, 3, base_seed=5,
+                         init_state=given, record_states=True)[0]
+        for t_idx, rec in enumerate(recs):
+            _, draws = trial_noise(SolverKind.PIMI, 8, 30, first_word([5, 0, t_idx]))
+            states, _ = reference_trial(inst, SolverKind.PIMI, sched, given, draws)
+            assert np.array_equal(rec.state_trajectory, states)
 
     def test_uniform_range(self):
         # conv kinds draw U(-1,1): a drive saturated at tanh = 1 is never
@@ -252,21 +261,33 @@ class TestNoiseSource:
         assert abs(states[1:].mean()) < 0.1
 
 
-def first_word(entropy):
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+def first_word(entropy, spawn_key=()):
+    ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def reference_streams(n, trial_seed):
+    """A trial's initial spins and noise generator from numpy alone: the
+    spins drawn from default_rng(SeedSequence(trial_seed, spawn_key=(0,))),
+    the noise from default_rng of the first word of the (1,) child."""
+    init_rng = np.random.default_rng(np.random.SeedSequence(trial_seed, spawn_key=(0,)))
+    init = init_rng.integers(0, 2, size=n) * 2.0 - 1.0
+    return init, np.random.default_rng(first_word(trial_seed, (1,)))
 
 
 class TestSeedTree:
     """Every seed split against np.random.SeedSequence alone, for base seeds
-    of one 32-bit word and of two."""
+    of one 32-bit word, of two and of three."""
 
-    BASES = [7, 2**40 + 3, 2**64 - 1]
+    BASES = [7, 2**40 + 3, 2**64 - 1, 2**64 + 5]
 
     @pytest.mark.parametrize("base", BASES)
     def test_instance_and_trial_seeds(self, base):
         for a, b in [(0, 0), (20, 3), (100, 19)]:
             assert instance_seed(base, a, b) == first_word([base, a, b])
-            assert derive_trial_seed(base, a, b) == first_word([base, a, b])
+            seeds, _ = solvers._seed_block([(base, a)], [b], np.empty((1, 2)),
+                                           np.ones(2))
+            assert seeds == [first_word([base, a, b])]
 
     @pytest.mark.parametrize("base", BASES)
     def test_detection_base_seeds(self, base, monkeypatch):
@@ -286,19 +307,43 @@ class TestSeedTree:
 
     @pytest.mark.parametrize("seed", BASES)
     def test_trial_streams(self, seed):
-        # init spins from the first child of spawn(2), the noise generator
+        # a block's trial k of the instance keyed (seed, 0): init spins from
+        # the first child of spawn(2) of its trial seed, the noise generator
         # seeded from the second's first word, with or without an init state
-        init_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-        ref_init = np.random.default_rng(init_ss).integers(0, 2, size=9) * 2.0 - 1.0
-        ref_noise = np.random.default_rng(
-            int(noise_ss.generate_state(1, np.uint64)[0])).standard_normal(20)
-        init, rng = trial_setup(9, seed)
-        assert np.array_equal(init, ref_init)
-        assert np.array_equal(rng.standard_normal(20), ref_noise)
-        given = np.ones(9)
-        start, rng = trial_setup(9, seed, given)
-        assert start is given
-        assert np.array_equal(rng.standard_normal(20), ref_noise)
+        trials = [0, 1, 5]
+        S = np.empty((len(trials), 9))
+        seeds, rngs = solvers._seed_block([(seed, 0)], trials, S, None)
+        given = np.ones((len(trials), 9))
+        given_seeds, given_rngs = solvers._seed_block([(seed, 0)], trials, given,
+                                                      np.ones(9))
+        assert seeds == given_seeds == [first_word([seed, 0, k]) for k in trials]
+        assert np.all(given == 1.0)
+        for r, ts in enumerate(seeds):
+            init_ss, noise_ss = np.random.SeedSequence(ts).spawn(2)
+            ref_init = np.random.default_rng(init_ss).integers(0, 2, size=9) * 2.0 - 1.0
+            ref_noise = np.random.default_rng(
+                int(noise_ss.generate_state(1, np.uint64)[0])).standard_normal(20)
+            assert np.array_equal(S[r], ref_init)
+            assert np.array_equal(rngs[r].standard_normal(20), ref_noise)
+            assert np.array_equal(given_rngs[r].standard_normal(20), ref_noise)
+
+    @pytest.mark.parametrize("kind", [SolverKind.PIMI, SolverKind.CONV_SEQUENTIAL])
+    def test_stacked_block_mixes_seed_lengths(self, kind):
+        # base seeds of 1, 2 and 3 uint32 words, and 0, in one stacked block
+        # of 5 instances x 3 trials: each record's seed, initial spins and
+        # noise are numpy's
+        bases = [7, 2**40 + 3, 2**64 + 5, 0, 2**70]
+        assert solvers.instances_per_block(3) >= len(bases)
+        insts = [gen_sk1(GeneratorSpec(Family.SK_ONE, 6, s)) for s in range(len(bases))]
+        sched = schedule_for_solver(kind, "sk1", 6, 20)
+        out = run_batch(insts, kind, sched, 3, base_seed=bases, record_states=True)
+        for inst, base, recs in zip(insts, bases, out, strict=True):
+            for t_idx, rec in enumerate(recs):
+                assert rec.seed == first_word([base, 0, t_idx])
+                init, draws = trial_noise(kind, 6, 20, rec.seed)
+                assert np.array_equal(rec.state_trajectory[0], init)
+                states, _ = reference_trial(inst, kind, sched, init, draws)
+                assert np.array_equal(rec.state_trajectory, states)
 
 
 class TestSchedules:
@@ -405,7 +450,7 @@ class TestRunBatch:
         for i_idx, recs in enumerate(out):
             assert len(recs) == 5
             for t_idx, rec in enumerate(recs):
-                assert rec.seed == derive_trial_seed(9, i_idx, t_idx)
+                assert rec.seed == first_word([9, i_idx, t_idx])
 
     @pytest.mark.parametrize("kind, biased", [
         pytest.param(kind, biased, id=kind.value + ("-bias-scale" if biased else ""))
@@ -425,7 +470,7 @@ class TestRunBatch:
         batch = run_batch([inst], kind, sched, 10, base_seed=8,
                           record_trajectory=True, record_states=True)[0]
         for t_idx, rec in enumerate(batch):
-            init, draws = trial_noise(kind, 11, 150, derive_trial_seed(8, 0, t_idx))
+            init, draws = trial_noise(kind, 11, 150, first_word([8, 0, t_idx]))
             states, energies = reference_trial(inst, kind, sched, init, draws)
             assert np.array_equal(rec.state_trajectory, states)
             assert np.array_equal(rec.final_spins, states[-1])
@@ -447,7 +492,7 @@ class TestRunBatch:
                               quantization=quant, record_trajectory=True,
                               record_states=True)[0]
             for t_idx, rec in enumerate(batch):
-                init, draws = trial_noise(kind, 7, 40, derive_trial_seed(2, 0, t_idx))
+                init, draws = trial_noise(kind, 7, 40, first_word([2, 0, t_idx]))
                 states, energies = reference_trial(inst, kind, sched, init, draws,
                                                    quant=(total_bits, int_bits, 4))
                 assert np.array_equal(rec.state_trajectory, states)
@@ -478,7 +523,7 @@ class TestRunBatch:
                 for inst, seed, recs in zip(insts, seeds, batch, strict=True):
                     for t_idx, rec in enumerate(recs):
                         init, draws = trial_noise(kind, n, t_steps,
-                                                  derive_trial_seed(seed, 0, t_idx))
+                                                  first_word([seed, 0, t_idx]))
                         states, energies = reference_trial(inst, kind, sched, init,
                                                            draws, quant=quant)
                         assert np.array_equal(rec.state_trajectory, states)
@@ -627,7 +672,7 @@ def trial_noise(kind, n, t_steps, trial_seed):
     """A trial's initial spins and its whole noise table under the noise
     contract: U(-1,1) for the conventional kinds, N(0,1) for pimi; one draw
     per step for conv-seq, one per spin and step for the parallel kinds."""
-    init, rng = trial_setup(n, trial_seed)
+    init, rng = reference_streams(n, trial_seed)
     if kind is SolverKind.CONV_SEQUENTIAL:
         return init, rng.uniform(-1.0, 1.0, t_steps)
     if kind is SolverKind.CONV_PARALLEL:
@@ -727,7 +772,7 @@ class TestQuantizedTrace:
         inst = gen_sk1(GeneratorSpec(Family.SK_ONE, 6, 8))
         sched = schedule_for_solver(SolverKind.PIMI, "sk1", 6, 30)
         quant = Quantization(FixedPointFormat(4, 2), TanhLut(4))
-        init, draws = trial_noise(SolverKind.PIMI, 6, 30, derive_trial_seed(3, 0, 0))
+        init, draws = trial_noise(SolverKind.PIMI, 6, 30, first_word([3, 0, 0]))
 
         rec = run_batch([inst], SolverKind.PIMI, sched, 1, base_seed=3,
                         record_states=True, quantization=quant)[0][0]
@@ -739,7 +784,7 @@ class TestQuantizedTrace:
         inst, _ = gen_maxcut(GeneratorSpec(Family.MAXCUT_ER, 8, 2))
         sched = schedule_for_solver(SolverKind.PIMI, "maxcut", 8, 25)
         quant = Quantization(FixedPointFormat(16, 4), TanhLut(4))
-        init, draws = trial_noise(SolverKind.PIMI, 8, 25, derive_trial_seed(5, 0, 1))
+        init, draws = trial_noise(SolverKind.PIMI, 8, 25, first_word([5, 0, 1]))
 
         rec = run_batch([inst], SolverKind.PIMI, sched, 2, base_seed=5,
                         record_states=True, quantization=quant)[0][1]
